@@ -23,7 +23,7 @@ from .stirling import rgs_check_integer, stirling_recurrence
 from .tnn import (
     MinorWitness,
     SignViolation,
-    inverse_sign_pattern,
+    first_sign_violation,
     is_tnn_exhaustive,
     unit_lower_inverse,
 )
@@ -163,7 +163,11 @@ def graph_stirling_matrix(g: Graph) -> TriMatrix:
     """Graph Stirling matrix of (g, label order); entry (m,k) counts
     partitions of {v_1..v_m} into k independent blocks.  Requires the label
     order to be a perfect elimination order."""
-    report = verify_peo(g)
+    return _peo_stirling_matrix(verify_peo(g))
+
+
+def _peo_stirling_matrix(report: PeoReport) -> TriMatrix:
+    """graph_stirling_matrix from an elimination report already taken."""
     if not report.is_peo:
         f = report.failure
         raise ValueError(
@@ -171,7 +175,7 @@ def graph_stirling_matrix(g: Graph) -> TriMatrix:
             f"neighbors {f.pair} of vertex {f.index} are not adjacent"
         )
     sp = SequencePair(
-        tuple(Fraction(i) for i in range(g.n)),
+        tuple(Fraction(i) for i in range(len(report.e_sequence))),
         tuple(Fraction(v) for v in report.e_sequence),
     )
     return stirling_recurrence(sp)
@@ -313,9 +317,9 @@ class ChordalReport:
 def signed_inverse_check(g: Graph, max_order: Optional[int] = None) -> ChordalReport:
     """Run the full matrix checks for (g, label order).  Requires a perfect
     elimination order (raises otherwise, mirroring graph_stirling_matrix)."""
-    matrix = graph_stirling_matrix(g)
+    peo = verify_peo(g)
+    matrix = _peo_stirling_matrix(peo)
     witness = is_tnn_exhaustive(matrix, max_order=max_order)
-    violation = inverse_sign_pattern(matrix)
     inv = unit_lower_inverse(matrix)
     zeros = tuple(
         (m, k)
@@ -324,8 +328,8 @@ def signed_inverse_check(g: Graph, max_order: Optional[int] = None) -> ChordalRe
         if inv.rows[m][k] == 0
     )
     return ChordalReport(
-        peo=verify_peo(g),
+        peo=peo,
         tnn_witness=witness,
-        sign_violation=violation,
+        sign_violation=first_sign_violation(inv),
         zero_inverse_entries=zeros,
     )

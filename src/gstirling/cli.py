@@ -53,8 +53,7 @@ FORMAT_ENV = "GSTIRLING_FORMAT"
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run depends on; equal configs produce byte-identical
-    output.  seed is reserved for randomized corpus runners (see scripts/)
-    and is not consumed by the deterministic subcommands."""
+    output."""
 
     command: str
     fmt: str = "table"
@@ -80,7 +79,6 @@ class RunConfig:
     board_file: Optional[str] = None
     do_gjw: bool = False
     check_tnn: bool = False
-    seed: Optional[int] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,6 +203,10 @@ def _array_lines(wa: WeightArray, provenance: bool) -> list[str]:
     return _aligned(rows)
 
 
+def _pivot_list(pivots) -> str:
+    return " ".join(f"[{m},{k}]" for m, k in pivots) or "(none)"
+
+
 def _matrix_triples(m: TriMatrix) -> list[tuple[int, int, Fraction]]:
     return [(i, k, v) for i, row in enumerate(m.rows) for k, v in enumerate(row)]
 
@@ -282,13 +284,13 @@ def _certificate_json(trace) -> dict:
 
 def _run_check(cfg: RunConfig) -> tuple[str, int]:
     sp = _resolve_pair(cfg)
-    matrix = stirling_recurrence(sp)
     if not sp.a_nondecreasing:
         if not cfg.exhaustive_only:
             raise ValueError(
                 "a is not non-decreasing, so the certified decision does not "
                 "apply; pass --exhaustive-only to scan minors directly"
             )
+        matrix = stirling_recurrence(sp)
         minor = is_tnn_exhaustive(matrix, max_order=cfg.max_minor_order)
         is_tnn = minor is None
         payload = {
@@ -315,6 +317,8 @@ def _run_check(cfg: RunConfig) -> tuple[str, int]:
         return _render(cfg, payload, table, _matrix_triples(matrix)), code
 
     verdict = decide_tnn(sp)
+    # only the scan and the csv triples read the matrix itself
+    matrix = stirling_recurrence(sp) if cfg.exhaustive or cfg.fmt == "csv" else None
     exhaustive_block = None
     if cfg.exhaustive:
         minor = is_tnn_exhaustive(matrix, max_order=cfg.max_minor_order)
@@ -359,10 +363,7 @@ def _run_check(cfg: RunConfig) -> tuple[str, int]:
     ]
     if verdict.certificate is not None:
         t = verdict.certificate
-        table.append(
-            "certificate pivots: "
-            + (" ".join(f"[{m},{k}]" for m, k in t.pivots) or "(none)")
-        )
+        table.append("certificate pivots: " + _pivot_list(t.pivots))
         table.append("final array (all weights non-negative):")
         table += _array_lines(t.final, cfg.provenance)
     if verdict.rgs.violation is not None:
@@ -379,7 +380,8 @@ def _run_check(cfg: RunConfig) -> tuple[str, int]:
     if exhaustive_block is not None:
         table.append("exhaustive minor scan agrees")
     code = EXIT_OK if verdict.is_tnn else EXIT_WITNESS
-    return _render(cfg, payload, table, _matrix_triples(matrix)), code
+    triples = [] if matrix is None else _matrix_triples(matrix)
+    return _render(cfg, payload, table, triples), code
 
 
 def _run_network(cfg: RunConfig) -> tuple[str, int]:
@@ -419,16 +421,11 @@ def _run_network(cfg: RunConfig) -> tuple[str, int]:
         *_array_lines(initial, cfg.provenance),
     ]
     if applied:
-        table.append(
-            "after pivots " + " ".join(f"[{m},{k}]" for m, k in applied) + ":"
-        )
+        table.append(f"after pivots {_pivot_list(applied)}:")
         table += _array_lines(wa, cfg.provenance)
     code = EXIT_OK
     if trace is not None:
-        table.append(
-            "certificate pivots: "
-            + (" ".join(f"[{m},{k}]" for m, k in trace.pivots) or "(none)")
-        )
+        table.append("certificate pivots: " + _pivot_list(trace.pivots))
         table.append(
             "final array ("
             + ("all weights non-negative" if trace.all_nonnegative

@@ -130,9 +130,6 @@ class TriMatrix:
             )
         )
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.rows]
-
 
 @dataclass(frozen=True)
 class NewtonPoly:

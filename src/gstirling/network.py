@@ -9,7 +9,7 @@ weights.  The path matrix M(m,k) sums these weights over all paths.
 
 Weight arrays may carry provenance: each weight is some a_f - e_g and the
 (f,g) index pair is stored alongside, with the value always recomputed from
-the pair.  Pivoting rewrites provenance only.
+the pair.  Pivoting rewrites provenance only, rotating e-indices in place.
 """
 
 from __future__ import annotations
@@ -46,11 +46,10 @@ class WeightArray:
         if self.provenance is not None:
             if self.seq is None:
                 raise ValueError("provenance requires an attached sequence pair")
-            for m in range(1, self.n + 1):
-                for k in range(1, m + 1):
-                    f, g = self.provenance[m - 1][k - 1]
-                    expect = self.seq.a[f - 1] - self.seq.e[g - 1]
-                    if vals[m - 1][k - 1] != expect:
+            a, e = self.seq.a, self.seq.e
+            for m, (row, prow) in enumerate(zip(vals, self.provenance, strict=True), 1):
+                for k, (v, (f, g)) in enumerate(zip(row, prow, strict=True), 1):
+                    if v != a[f - 1] - e[g - 1]:
                         raise ValueError(
                             f"weight at [{m},{k}] disagrees with provenance a{f}-e{g}"
                         )
@@ -68,17 +67,21 @@ class WeightArray:
         return cls(n=len(rows), values=tuple(tuple(Fraction(v) for v in r) for r in rows))
 
 
+def _initial_e_indices(n: int) -> list[list[int]]:
+    """e-index m-k+1 at [m,k], as mutable rows; the a-index there is k."""
+    return [[m - k + 1 for k in range(1, m + 1)] for m in range(1, n + 1)]
+
+
+def _from_provenance(sp: SequencePair, rows) -> WeightArray:
+    """WeightArray with weight a_f - e_g for each (f, g) pair in rows 1..n."""
+    prov = tuple(tuple(row) for row in rows)
+    vals = tuple(tuple(sp.a[f - 1] - sp.e[g - 1] for f, g in row) for row in prov)
+    return WeightArray(n=sp.n, values=vals, provenance=prov, seq=sp)
+
+
 def build_initial(sp: SequencePair) -> WeightArray:
     """Initial array realizing S^{a,e}: weight a_k - e_{m-k+1} at [m,k]."""
-    n = sp.n
-    prov = tuple(
-        tuple((k, m - k + 1) for k in range(1, m + 1)) for m in range(1, n + 1)
-    )
-    vals = tuple(
-        tuple(sp.a[k - 1] - sp.e[m - k] for k in range(1, m + 1))
-        for m in range(1, n + 1)
-    )
-    return WeightArray(n=n, values=vals, provenance=prov, seq=sp)
+    return _from_provenance(sp, (enumerate(r, 1) for r in _initial_e_indices(sp.n)))
 
 
 def path_matrix(wa: WeightArray) -> TriMatrix:
@@ -197,31 +200,27 @@ def lindstrom_minor(
     return total
 
 
+def _rotate_e_indices(e_rows: list[list[int]], m: int, k: int) -> None:
+    """Pivot at [m,k] on e-indices in place: for each l >= 1 those at
+    [m+l, k..k+l] shift cyclically, last to the front; row r is e_rows[r-1]."""
+    for l, row in enumerate(e_rows[m:], start=1):
+        row[k - 1:k + l] = row[k + l - 1:k + l] + row[k - 1:k + l - 1]
+
+
 def pivot(wa: WeightArray, m: int, k: int) -> WeightArray:
-    """Pivot at [m,k]: for each l >= 1 the e-indices at positions
-    [m+l, k..k+l] are cyclically shifted, last moved to the front; a-indices
-    and all other positions are untouched.  Weights are recomputed from the
-    rewritten provenance.  Requires provenance."""
+    """Pivot at [m,k] by _rotate_e_indices on a copy of the e-indices;
+    a-indices are untouched.  The new array's weights are recomputed from,
+    and checked against, its provenance.  Requires provenance."""
     if wa.provenance is None or wa.seq is None:
         raise ValueError("pivot requires provenance-carrying weights")
     if not (1 <= k <= m <= wa.n):
         raise ValueError(f"no pivot position [{m},{k}] in size {wa.n}")
-    prov = [list(row) for row in wa.provenance]
-    for l in range(1, wa.n - m + 1):
-        r = m + l
-        old = [prov[r - 1][c - 1] for c in range(k, k + l + 1)]
-        shifted = [old[-1]] + old[:-1]
-        for off, c in enumerate(range(k, k + l + 1)):
-            f_keep = prov[r - 1][c - 1][0]
-            prov[r - 1][c - 1] = (f_keep, shifted[off][1])
-    new_prov = tuple(tuple(row) for row in prov)
-    vals = tuple(
-        tuple(
-            wa.seq.a[f - 1] - wa.seq.e[g - 1] for (f, g) in new_prov[r]
-        )
-        for r in range(wa.n)
+    prov = wa.provenance
+    e_rows = [[g for _, g in row] for row in prov]
+    _rotate_e_indices(e_rows, m, k)
+    return _from_provenance(
+        wa.seq, (zip((f for f, _ in r), gs) for r, gs in zip(prov, e_rows))
     )
-    return WeightArray(n=wa.n, values=vals, provenance=new_prov, seq=wa.seq)
 
 
 @dataclass(frozen=True)
@@ -244,10 +243,12 @@ def certify(sp: SequencePair) -> PivotTrace:
     e_i = a_{f} pivots at [i, f] (where the weight is exactly 0) and advances
     f; a violation e_i > a_f stops the trace, leaving the negative weight
     a_f - e_i exposed at [i, f].
+    Each pivot checks its weight is 0 and rotates build_initial's e-indices
+    in place; the final WeightArray is built, and checked, once.
     """
     if not sp.a_nondecreasing:
         raise ValueError("certify requires a non-decreasing a-sequence")
-    wa = build_initial(sp)
+    e_rows = _initial_e_indices(sp.n)
     pivots: list[tuple[int, int]] = []
     f = 1
     for i in range(1, sp.n + 1):
@@ -256,14 +257,15 @@ def certify(sp: SequencePair) -> PivotTrace:
         if ei > cap:
             break
         if ei == cap:
-            if wa.weight(i, f) != 0:
+            if cap - sp.e[e_rows[i - 1][f - 1] - 1] != 0:
                 raise RuntimeError(
                     f"pivot position [{i},{f}] carries nonzero weight; "
                     "provenance rewrite rule violated"
                 )
-            wa = pivot(wa, i, f)
+            _rotate_e_indices(e_rows, i, f)
             pivots.append((i, f))
             f += 1
+    wa = _from_provenance(sp, (enumerate(r, 1) for r in e_rows))
     return PivotTrace(
         pivots=tuple(pivots), final=wa, all_nonnegative=wa.all_nonnegative()
     )

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Iterator, Optional
 
 from .core import SequencePair, TriMatrix
-from .network import PivotTrace, certify, path_matrix
+from .network import PivotTrace, certify
 from .stirling import RgsReport, rgs_check, stirling_recurrence
 
 
@@ -126,10 +126,14 @@ class SignViolation:
 
 
 def inverse_sign_pattern(matrix: TriMatrix) -> Optional[SignViolation]:
-    """Check the alternating sign pattern of the inverse: entry (m,k) times
+    """first_sign_violation of the inverse of a unit lower-triangular matrix."""
+    return first_sign_violation(unit_lower_inverse(matrix))
+
+
+def first_sign_violation(inv: TriMatrix) -> Optional[SignViolation]:
+    """Check the alternating sign pattern of an inverse: entry (m,k) times
     (-1)^(m-k) must be >= 0.  Zero entries conform.  Returns the first
     violation in row-major order, None if the pattern holds."""
-    inv = unit_lower_inverse(matrix)
     for m in range(inv.n + 1):
         for k in range(m + 1):
             v = inv.rows[m][k]
@@ -172,7 +176,8 @@ def decide_tnn(sp: SequencePair) -> TnnVerdict:
         return TnnVerdict(is_tnn=True, rgs=report, certificate=trace, witness=None)
     j = report.violation.index
     level = report.violation.level
-    value = stirling_recurrence(sp).entry(j, level - 1)
+    # rows <= j of S^{a,e} depend only on a_1..a_j and e_1..e_j
+    value = stirling_recurrence(SequencePair(sp.a[:j], sp.e[:j])).entry(j, level - 1)
     if value >= 0:
         raise RuntimeError(f"declared witness entry ({j},{level - 1}) is "
                            f"{value}, not negative; inconsistent state")
@@ -182,8 +187,3 @@ def decide_tnn(sp: SequencePair) -> TnnVerdict:
         certificate=None,
         witness=EntryWitness(row=j, col=level - 1, value=value),
     )
-
-
-def certificate_matrix(trace: PivotTrace) -> TriMatrix:
-    """Path matrix of a certificate's final array (equals S^{a,e})."""
-    return path_matrix(trace.final)

@@ -167,3 +167,19 @@ def integer_rgs(n):
 
     rec([0], 0)
     return out
+
+
+def pivot_provenance(prov, m, k):
+    """Provenance after a pivot at [m,k], rewritten entry by entry: for each
+    l >= 1 the e-indices at positions [m+l, k..k+l] are cyclically shifted,
+    last moved to the front; a-indices and all other positions are kept.
+    prov[r-1][c-1] is the (a-index, e-index) pair at [r,c]."""
+    rows = [list(row) for row in prov]
+    for l in range(1, len(rows) - m + 1):
+        r = m + l
+        old = [rows[r - 1][c - 1] for c in range(k, k + l + 1)]
+        shifted = [old[-1]] + old[:-1]
+        for off, c in enumerate(range(k, k + l + 1)):
+            f_keep = rows[r - 1][c - 1][0]
+            rows[r - 1][c - 1] = (f_keep, shifted[off][1])
+    return tuple(tuple(row) for row in rows)

@@ -44,6 +44,7 @@ from oracles import (
     integer_rgs,
     lah_counts,
     partition_counts,
+    pivot_provenance,
     rook_placement_count,
     subset_count,
 )
@@ -122,19 +123,6 @@ def test_c3_presets_count_the_right_objects(capfd):
                 assert abs(inverse.entry(m, k)) == cycle_row[k]
 
 
-def _replayed_pivot(prov, n, m, k):
-    """Reference rewrite, kept separate from the library: below row m the
-    e-indices of positions [m+l, k..k+l] rotate one step, last to front."""
-    grid = [list(row) for row in prov]
-    for l in range(1, n - m + 1):
-        row = m + l
-        gs = [grid[row - 1][c - 1][1] for c in range(k, k + l + 1)]
-        gs = gs[-1:] + gs[:-1]
-        for g, c in zip(gs, range(k, k + l + 1)):
-            grid[row - 1][c - 1] = (grid[row - 1][c - 1][0], g)
-    return tuple(tuple(row) for row in grid)
-
-
 def test_c4_certificates_for_growth_sequences(capfd):
     with criterion(
         capfd, 4, "pivot certificates reach non-negative arrays and preserve S"
@@ -151,7 +139,7 @@ def test_c4_certificates_for_growth_sequences(capfd):
             wa = build_initial(sp)
             for m, k in trace.pivots:
                 assert wa.weight(m, k) == 0
-                replayed = _replayed_pivot(wa.provenance, sp.n, m, k)
+                replayed = pivot_provenance(wa.provenance, m, k)
                 wa = pivot(wa, m, k)
                 assert wa.provenance == replayed
                 assert path_matrix(wa) == reference

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+import gstirling.chordal
 from gstirling.chordal import (
     ChordalReport,
     Graph,
@@ -18,6 +19,7 @@ from gstirling.chordal import (
     verify_peo,
 )
 from gstirling.stirling import preset, rgs_check_integer, stirling_recurrence
+from gstirling.tnn import inverse_sign_pattern, unit_lower_inverse
 from oracles import coloring_count, independent_partition_count, integer_rgs
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
@@ -261,3 +263,28 @@ class TestSignedInverseCheck:
         strings = integer_rgs(5)
         for e in rng.sample(strings, 20):
             assert signed_inverse_check(graph_from_rgs(e)).ok
+
+    def test_orders_verified_and_matrices_inverted_once(self, monkeypatch):
+        calls = {"verify_peo": 0, "unit_lower_inverse": 0}
+        for name in calls:
+            real = getattr(gstirling.chordal, name)
+
+            def counted(arg, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(arg)
+
+            monkeypatch.setattr(gstirling.chordal, name, counted)
+        for e in integer_rgs(5):
+            g = graph_from_rgs(e)
+            before = dict(calls)
+            report = signed_inverse_check(g)
+            assert {k: calls[k] - before[k] for k in calls} == {
+                "verify_peo": 1, "unit_lower_inverse": 1}
+            matrix = graph_stirling_matrix(g)
+            inv = unit_lower_inverse(matrix)
+            assert report.peo == verify_peo(g)
+            assert report.sign_violation == inverse_sign_pattern(matrix)
+            assert report.zero_inverse_entries == tuple(
+                (m, k) for m in range(inv.n + 1) for k in range(m)
+                if inv.entry(m, k) == 0
+            )

@@ -6,7 +6,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import gstirling.cli
 from gstirling.cli import main
+from gstirling.core import format_rational, parse_rational
+from gstirling.stirling import sequence_pair, stirling_recurrence
+from gstirling.tnn import is_tnn_exhaustive
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "cli-output.schema.json").read_text()
@@ -285,6 +289,65 @@ class TestCsv:
         assert lines[1] == "1,1,-5"
         assert lines[2] == "2,1,-7"
         assert lines[3] == "2,2,-4"
+
+
+class TestCertifiedMatrixOnDemand:
+    """The certified check builds S^{a,e} only for --exhaustive and csv."""
+
+    GROWTH = ("0,1,1,2,3", "0,1,0,1,2")
+    BROKEN = ("0,1,2,3", "0,1,3,0")  # e_3 = 3 exceeds the cap a_3 = 2
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counted(sp):
+            calls.append(sp.n)
+            return stirling_recurrence(sp)
+
+        monkeypatch.setattr(gstirling.cli, "stirling_recurrence", counted)
+        return calls
+
+    @pytest.mark.parametrize("a,e", [GROWTH, BROKEN])
+    def test_csv_emits_every_matrix_triple(self, capsys, builds, a, e):
+        code, out, _ = run_cli(capsys, "check", "-a", a, "-e", e, "--format", "csv")
+        matrix = stirling_recurrence(sequence_pair(a.split(","), e.split(",")))
+        n = matrix.n
+        assert code == (0 if (a, e) == self.GROWTH else 2)
+        lines = out.splitlines()
+        assert lines[0] == "m,k,value"
+        assert len(lines) - 1 == (n + 1) * (n + 2) // 2
+        assert lines[1:] == [
+            f"{m},{k},{format_rational(matrix.entry(m, k))}"
+            for m in range(n + 1) for k in range(m + 1)
+        ]
+        assert builds == [n]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_table_and_json_skip_the_matrix(self, capsys, builds, fmt):
+        code, _, _ = run_cli(capsys, "check", "-a", self.BROKEN[0],
+                             "-e", self.BROKEN[1], "--format", fmt)
+        assert code == 2
+        assert builds == []
+
+    @pytest.mark.parametrize("a,e", [GROWTH, BROKEN])
+    def test_exhaustive_still_scans_and_agrees(self, capsys, monkeypatch, a, e):
+        scans = []
+
+        def counted(matrix, max_order=None):
+            scans.append(matrix.n)
+            return is_tnn_exhaustive(matrix, max_order=max_order)
+
+        monkeypatch.setattr(gstirling.cli, "is_tnn_exhaustive", counted)
+        code, payload = run_json(capsys, "check", "-a", a, "-e", e, "--exhaustive")
+        assert scans == [len(a.split(","))]
+        assert payload["exhaustive"]["agrees"] is True
+        witness = payload["exhaustive"]["minor_witness"]
+        if (a, e) == self.GROWTH:
+            assert code == 0 and payload["is_tnn"] and witness is None
+        else:
+            assert code == 2 and not payload["is_tnn"]
+            assert parse_rational(witness["value"]) < 0
 
 
 class TestFormatSelection:

@@ -20,7 +20,8 @@ from gstirling.network import (
     pivot,
 )
 from gstirling.stirling import rgs_check, sequence_pair, stirling_recurrence
-from oracles import cofactor_det
+from oracles import cofactor_det, pivot_provenance
+from strategies import monotone_pairs
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
@@ -273,3 +274,41 @@ class TestCertify:
                 (i, rep.cap_indices[i - 1]) for i in hits
             )
             assert path_matrix(trace.final) == stirling_recurrence(sp)
+
+
+class TestInPlaceRotation:
+    """certify and pivot share one in-place rotation of e-indices; both are
+    checked against the entry-by-entry rewrite in oracles.py."""
+
+    @given(monotone_pairs())
+    def test_certificate_is_the_pivot_fold(self, sp):
+        trace = certify(sp)
+        wa = build_initial(sp)
+        for m, k in trace.pivots:
+            assert wa.weight(m, k) == 0
+            wa = pivot(wa, m, k)
+        assert trace.final == wa
+        assert trace.all_nonnegative == wa.all_nonnegative()
+
+    @given(monotone_pairs(), st.data())
+    def test_pivot_matches_entrywise_oracle(self, sp, data):
+        wa = build_initial(sp)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            m = data.draw(st.integers(min_value=1, max_value=sp.n))
+            k = data.draw(st.integers(min_value=1, max_value=m))
+            expect = pivot_provenance(wa.provenance, m, k)
+            wa = pivot(wa, m, k)
+            assert wa.provenance == expect
+
+    @given(monotone_pairs(max_n=5), st.data())
+    def test_pivot_keeps_arbitrary_a_indices(self, sp, data):
+        idx = st.integers(min_value=1, max_value=sp.n)
+        prov = tuple(
+            tuple((data.draw(idx), data.draw(idx)) for _ in range(m))
+            for m in range(1, sp.n + 1)
+        )
+        vals = tuple(tuple(sp.a[f - 1] - sp.e[g - 1] for f, g in row) for row in prov)
+        wa = WeightArray(n=sp.n, values=vals, provenance=prov, seq=sp)
+        m = data.draw(st.integers(min_value=1, max_value=sp.n))
+        k = data.draw(st.integers(min_value=1, max_value=m))
+        assert pivot(wa, m, k).provenance == pivot_provenance(prov, m, k)

@@ -17,6 +17,7 @@ from gstirling.tnn import (
     unit_lower_inverse,
 )
 from oracles import cofactor_det
+from strategies import monotone_pairs
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 square_matrices = st.integers(1, 4).flatmap(
@@ -184,3 +185,14 @@ class TestDecide:
             verdict = decide_tnn(sp)
             minor = is_tnn_exhaustive(stirling_recurrence(sp))
             assert verdict.is_tnn == (minor is None), (a, e)
+
+
+class TestWitnessFromPrefix:
+    @given(monotone_pairs(broken=True))
+    def test_witness_is_the_full_matrix_entry(self, sp):
+        verdict = decide_tnn(sp)
+        w = verdict.witness
+        assert not verdict.is_tnn and w is not None
+        assert (w.row, w.col) == (verdict.rgs.violation.index,
+                                  verdict.rgs.violation.level - 1)
+        assert w.value == stirling_recurrence(sp).entry(w.row, w.col) < 0

@@ -1,6 +1,7 @@
 """Scan Eulerian-triangle minors for a negative one, sizes 1..n.
 
-Prints a per-size tally; a hit prints the witness and exits 2.
+Prints a per-size tally; a hit prints the witness and exits 2, a size
+over the minor budget exits 1.
 """
 
 import argparse
@@ -22,14 +23,18 @@ def main() -> int:
         matrix = eulerian_matrix(n)
         started = time.perf_counter()
         checked = 0
-        for rows, cols, value in iter_minors(matrix, max_order=args.max_minor_order):
-            checked += 1
-            if value < 0:
-                print(
-                    f"n={n}: NEGATIVE minor rows {list(rows)} cols {list(cols)} "
-                    f"value {format_rational(value)}"
-                )
-                return 2
+        try:
+            for rows, cols, value in iter_minors(matrix, max_order=args.max_minor_order):
+                checked += 1
+                if value < 0:
+                    print(
+                        f"n={n}: NEGATIVE minor rows {list(rows)} cols {list(cols)} "
+                        f"value {format_rational(value)}"
+                    )
+                    return 2
+        except ValueError as exc:  # the minor budget
+            print(f"n={n}: error: {exc}", file=sys.stderr)
+            return 1
         elapsed = time.perf_counter() - started
         print(f"n={n}: {checked} minors, none negative ({elapsed:.2f}s)")
     return 0

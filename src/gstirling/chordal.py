@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .core import SequencePair, TriMatrix
 from .stirling import rgs_check_integer, stirling_recurrence
@@ -163,10 +163,10 @@ def graph_stirling_matrix(g: Graph) -> TriMatrix:
     """Graph Stirling matrix of (g, label order); entry (m,k) counts
     partitions of {v_1..v_m} into k independent blocks.  Requires the label
     order to be a perfect elimination order."""
-    return _peo_stirling_matrix(verify_peo(g))
+    return peo_stirling_matrix(verify_peo(g))
 
 
-def _peo_stirling_matrix(report: PeoReport) -> TriMatrix:
+def peo_stirling_matrix(report: PeoReport) -> TriMatrix:
     """graph_stirling_matrix from an elimination report already taken."""
     if not report.is_peo:
         f = report.failure
@@ -267,10 +267,22 @@ def chromatic_check(g: Graph, x: int) -> bool:
     return True
 
 
+def _clique_number(partial: list[set[int]], cand: set[int]) -> int:
+    """Largest clique inside cand, for a graph built vertex by vertex onto
+    cliques: each vertex's earlier neighbours in cand form a clique, so the
+    largest one is some vertex together with them."""
+    return max((1 + sum(1 for u in partial[v] if u < v and u in cand)
+                for v in cand), default=0)
+
+
 def graph_from_rgs(e: Sequence[int]) -> Graph:
     """Build a chordal graph whose elimination e-sequence is the given
     integer restricted-growth string: vertex k is joined to the
-    lexicographically first e_k-clique among v_1..v_{k-1}."""
+    lexicographically first e_k-clique among v_1..v_{k-1}.
+
+    That clique is built greedily: its next vertex is the smallest
+    candidate u whose later candidate neighbours still hold a clique of the
+    remaining size, and those neighbours become the candidates."""
     if not rgs_check_integer(e):
         raise ValueError("not an integer restricted-growth string")
     n = len(e)
@@ -278,15 +290,18 @@ def graph_from_rgs(e: Sequence[int]) -> Graph:
     partial: list[set[int]] = [set() for _ in range(n + 1)]
     for k in range(1, n + 1):
         need = e[k - 1]
-        if need == 0:
-            continue
-        found = None
-        for cand in combinations(range(1, k), need):
-            if all(v in partial[u] for u, v in combinations(cand, 2)):
-                found = cand
-                break
-        if found is None:
-            raise RuntimeError(f"no {need}-clique available for vertex {k}")
+        found: list[int] = []
+        cand: Collection[int] = range(1, k)
+        while len(found) < need:
+            rest = need - len(found) - 1
+            for u in sorted(cand):
+                later = {v for v in partial[u] if v > u and v in cand}
+                if _clique_number(partial, later) >= rest:
+                    found.append(u)
+                    cand = later
+                    break
+            else:
+                raise RuntimeError(f"no {need}-clique available for vertex {k}")
         for u in found:
             edges.append((u, k))
             partial[u].add(k)
@@ -318,7 +333,14 @@ def signed_inverse_check(g: Graph, max_order: Optional[int] = None) -> ChordalRe
     """Run the full matrix checks for (g, label order).  Requires a perfect
     elimination order (raises otherwise, mirroring graph_stirling_matrix)."""
     peo = verify_peo(g)
-    matrix = _peo_stirling_matrix(peo)
+    return matrix_checks(peo, peo_stirling_matrix(peo), max_order=max_order)
+
+
+def matrix_checks(
+    peo: PeoReport, matrix: TriMatrix, max_order: Optional[int] = None
+) -> ChordalReport:
+    """signed_inverse_check on an elimination report and the graph Stirling
+    matrix already built from it."""
     witness = is_tnn_exhaustive(matrix, max_order=max_order)
     inv = unit_lower_inverse(matrix)
     zeros = tuple(

@@ -23,9 +23,9 @@ from .chordal import (
     chromatic_check,
     find_peo,
     graph_from_rgs,
-    graph_stirling_matrix,
+    matrix_checks,
     parse_graph,
-    signed_inverse_check,
+    peo_stirling_matrix,
     verify_peo,
 )
 from .core import SequencePair, TriMatrix, format_rational, parse_rational
@@ -489,7 +489,7 @@ def _run_chordal(cfg: RunConfig) -> tuple[str, int]:
         )
         return _render(cfg, payload, table, []), EXIT_WITNESS
     table.append("order verified: perfect elimination order")
-    matrix = graph_stirling_matrix(g)
+    matrix = peo_stirling_matrix(report)
     payload["matrix"] = _matrix_strs(matrix)
     table.append("graph Stirling matrix:")
     table += _aligned(_matrix_strs(matrix))
@@ -497,7 +497,7 @@ def _run_chordal(cfg: RunConfig) -> tuple[str, int]:
     if cfg.check_all or cfg.chromatic_xs:
         checks: dict = {}
         if cfg.check_all:
-            rep = signed_inverse_check(g, max_order=cfg.max_minor_order)
+            rep = matrix_checks(report, matrix, max_order=cfg.max_minor_order)
             checks["tnn_witness"] = _witness_json(rep.tnn_witness)
             checks["sign_violation"] = (
                 None

@@ -6,6 +6,12 @@ S^{a,e} with non-decreasing a this holds exactly when e is a
 restricted-growth sequence relative to a; the decision procedure returns a
 planar-network certificate in the positive case and a negative entry witness
 in the negative case, with the exhaustive oracle available as a cross-check.
+
+The oracle scales each row once to integers and takes every minor with one
+fraction-free Bareiss kernel, the same one behind det_exact.  Of a
+lower-triangular matrix it visits only the minors that can be nonzero, those
+with cols[i] <= rows[i]: C(s+1) - 1 of them at size s (a Catalan number).
+Scans of more than MAX_MINORS minors stop before the first one.
 """
 
 from __future__ import annotations
@@ -13,12 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
-from typing import Iterator, Optional
+from math import comb, lcm, prod
+from typing import Iterator, Optional, Sequence
 
 from .core import SequencePair, TriMatrix
 from .network import PivotTrace, certify
 from .stirling import RgsReport, rgs_check, stirling_recurrence
+
+# largest minor scan iter_minors starts
+MAX_MINORS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -30,39 +39,67 @@ class MinorWitness:
     value: Fraction
 
 
-def det_exact(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant: clear denominators row by row, run fraction-free
-    Bareiss elimination over the integers, divide the scales back out."""
-    n = len(rows)
+def _bareiss(mat: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination; mat is overwritten."""
+    n = len(mat)
     if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    mat: list[list[int]] = []
-    for row in rows:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
-        scale *= mult
-        mat.append([int(v * mult) for v in row])
+        return 1
     sign = 1
     prev = 1
     for p in range(n - 1):
         if mat[p][p] == 0:
             swap = next((r for r in range(p + 1, n) if mat[r][p] != 0), None)
             if swap is None:
-                return Fraction(0)
+                return 0
             mat[p], mat[swap] = mat[swap], mat[p]
             sign = -sign
+        top = mat[p]
+        piv = top[p]
         for r in range(p + 1, n):
+            row = mat[r]
+            f = row[p]
             for c in range(p + 1, n):
-                mat[r][c] = (mat[r][c] * mat[p][p] - mat[r][p] * mat[p][c]) // prev
-            mat[r][p] = 0
-        prev = mat[p][p]
-    return Fraction(sign * mat[n - 1][n - 1], 1) / scale
+                row[c] = (row[c] * piv - f * top[c]) // prev
+            row[p] = 0
+        prev = piv
+    return sign * mat[n - 1][n - 1]
 
 
-def _structurally_zero(rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
-    """For lower-triangular M, the (rows, cols) minor vanishes identically
-    whenever some aligned column index exceeds its row index."""
-    return any(c > r for r, c in zip(rows, cols))
+def _scaled_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The row times D, the lcm of its denominators, as ints, and D."""
+    mult = lcm(*(v.denominator for v in row))
+    return [v.numerator * (mult // v.denominator) for v in row], mult
+
+
+def det_exact(rows: list[list[Fraction]]) -> Fraction:
+    """Exact determinant: clear denominators row by row, run fraction-free
+    Bareiss elimination over the integers, divide the scales back out."""
+    scaled = [_scaled_row(row) for row in rows]
+    return Fraction(_bareiss([ints for ints, _ in scaled]),
+                    prod(mult for _, mult in scaled))
+
+
+def minor_count(size: int, max_order: Optional[int] = None) -> int:
+    """How many minors iter_minors yields for a size x size matrix: the
+    Narayana number N(size+1, k+1) of order k, summed over the orders; a
+    full scan yields the Catalan number C(size+1) minus 1."""
+    top = size if max_order is None else min(max_order, size)
+    return sum(comb(size + 1, k) * comb(size + 1, k + 1)
+               for k in range(1, top + 1)) // (size + 1)
+
+
+def _admissible_cols(
+    rows: tuple[int, ...], low: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Column sets low <= c_0 < c_1 < .. with c_i <= rows[i], in
+    lexicographic order."""
+    for c in range(low, rows[0] + 1):
+        if len(rows) == 1:
+            yield (c,)
+        else:
+            for rest in _admissible_cols(rows[1:], c + 1):
+                yield (c, *rest)
 
 
 def iter_minors(
@@ -70,18 +107,33 @@ def iter_minors(
 ) -> "Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]":
     """Yield (rows, cols, value) for every minor up to max_order (default:
     all orders), visited by ascending order then lexicographically by (rows,
-    cols).  Structurally zero minors of the triangular shape are skipped."""
+    cols).
+
+    Only column sets with cols[i] <= rows[i] for every i are visited: any
+    other minor of a lower-triangular matrix vanishes identically.  Each
+    row m is scaled once by D_m, the lcm of its denominators, so every
+    minor is an integer Bareiss determinant divided by the product of D_m
+    over its rows.  A scan of more than MAX_MINORS minors (see minor_count)
+    raises ValueError before the first one is yielded."""
     if max_order is not None and max_order < 1:
         raise ValueError("max_order must be at least 1")
     size = matrix.n + 1
+    count = minor_count(size, max_order)
+    if count > MAX_MINORS:
+        raise ValueError(
+            f"a scan of {count} minors exceeds the budget of {MAX_MINORS}; "
+            "limit the minor order (--max-minor-order)"
+        )
+    scaled = [_scaled_row(row) for row in matrix.rows]
+    ints = [row + [0] * (size - len(row)) for row, _ in scaled]
+    scales = [mult for _, mult in scaled]
     top = size if max_order is None else min(max_order, size)
     for order in range(1, top + 1):
         for rows in combinations(range(size), order):
-            for cols in combinations(range(size), order):
-                if _structurally_zero(rows, cols):
-                    continue
-                sub = [[matrix.entry(r, c) for c in cols] for r in rows]
-                yield rows, cols, det_exact(sub)
+            scale = prod(scales[r] for r in rows)
+            for cols in _admissible_cols(rows):
+                sub = [[ints[r][c] for c in cols] for r in rows]
+                yield rows, cols, Fraction(_bareiss(sub), scale)
 
 
 def is_tnn_exhaustive(

@@ -183,3 +183,40 @@ def pivot_provenance(prov, m, k):
             f_keep = rows[r - 1][c - 1][0]
             rows[r - 1][c - 1] = (f_keep, shifted[off][1])
     return tuple(tuple(row) for row in rows)
+
+
+def rgs_graph_edges(e):
+    """Edges of the graph of an integer restricted-growth string: vertex k
+    is joined to the lexicographically first e_k-clique among 1..k-1, found
+    by trying every e_k-subset in lexicographic order."""
+    adj = {v: set() for v in range(1, len(e) + 1)}
+    edges = []
+    for k, need in enumerate(e, start=1):
+        for cand in combinations(range(1, k), need):
+            if all(v in adj[u] for u, v in combinations(cand, 2)):
+                break
+        else:
+            raise ValueError(f"no {need}-clique for vertex {k}")
+        for u in cand:
+            edges.append((u, k))
+            adj[u].add(k)
+            adj[k].add(u)
+    return edges
+
+
+def triangular_minors(rows, max_order=None):
+    """(rows, cols, value) for every minor of the lower-triangular matrix
+    with the given ragged rows whose column set satisfies cols[i] <=
+    rows[i], by ascending order then lexicographically, each evaluated by
+    cofactor expansion."""
+    size = len(rows)
+    dense = [list(row) + [0] * (size - len(row)) for row in rows]
+    top = size if max_order is None else min(max_order, size)
+    out = []
+    for order in range(1, top + 1):
+        for rs in combinations(range(size), order):
+            for cs in combinations(range(size), order):
+                if all(c <= r for r, c in zip(rs, cs)):
+                    sub = [[dense[r][c] for c in cs] for r in rs]
+                    out.append((rs, cs, cofactor_det(sub)))
+    return out

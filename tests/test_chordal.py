@@ -20,7 +20,12 @@ from gstirling.chordal import (
 )
 from gstirling.stirling import preset, rgs_check_integer, stirling_recurrence
 from gstirling.tnn import inverse_sign_pattern, unit_lower_inverse
-from oracles import coloring_count, independent_partition_count, integer_rgs
+from oracles import (
+    coloring_count,
+    independent_partition_count,
+    integer_rgs,
+    rgs_graph_edges,
+)
 
 PATH3 = Graph.from_edges(3, [(1, 2), (2, 3)])
 TRIANGLE = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
@@ -225,6 +230,18 @@ class TestGraphFromRgs:
                 report = verify_peo(g)
                 assert report.is_peo
                 assert report.e_sequence == e
+
+    def test_matches_subset_search_oracle(self):
+        for n in range(9):
+            for e in integer_rgs(n):
+                assert graph_from_rgs(e) == Graph.from_edges(n, rgs_graph_edges(e)), e
+
+    def test_wide_clique_after_a_long_zero_prefix(self):
+        # the subset search tries C(33, 9) candidates for the last vertex
+        e = (0,) * 25 + tuple(range(1, 10))
+        g = graph_from_rgs(e)
+        assert verify_peo(g).e_sequence == e
+        assert sorted(g.adj[-1]) == [1] + list(range(26, 34))
 
 
 class TestSignedInverseCheck:

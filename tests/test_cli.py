@@ -6,7 +6,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import gstirling.chordal
 import gstirling.cli
+import gstirling.tnn
 from gstirling.cli import main
 from gstirling.core import format_rational, parse_rational
 from gstirling.stirling import sequence_pair, stirling_recurrence
@@ -348,6 +350,64 @@ class TestCertifiedMatrixOnDemand:
         else:
             assert code == 2 and not payload["is_tnn"]
             assert parse_rational(witness["value"]) < 0
+
+
+class TestMinorBudget:
+    """A minor scan over MAX_MINORS minors stops before evaluating any."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        calls = []
+        real = gstirling.tnn._bareiss
+
+        def counted(mat):
+            calls.append(len(mat))
+            return real(mat)
+
+        monkeypatch.setattr(gstirling.tnn, "_bareiss", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv,count", [
+        (("eulerian", "-n", "12"), 2_674_439),
+        (("check", "--preset", "stirling2", "-n", "14", "--exhaustive"), 35_357_669),
+    ])
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_over_budget_exits_one_with_no_output(self, capsys, evaluated, argv,
+                                                  count, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == (f"error: a scan of {count} minors exceeds the budget of "
+                       "1000000; limit the minor order (--max-minor-order)\n")
+        assert evaluated == []
+
+    def test_bounded_order_fits_the_budget(self, capsys):
+        code, payload = run_json(capsys, "eulerian", "-n", "12", "--max-minor-order", "2")
+        assert code == 0 and payload["witness"] is None
+        assert payload["minors_checked"] == 91 + 2366
+
+
+class TestChordalCheckAllOnce:
+    STEPS = ("verify_peo", "stirling_recurrence", "is_tnn_exhaustive",
+             "unit_lower_inverse")
+
+    def test_each_step_runs_once(self, capsys, monkeypatch):
+        calls = {name: 0 for name in self.STEPS}
+        modules = [m for name, m in sys.modules.items()
+                   if name == "gstirling" or name.startswith("gstirling.")]
+        for name in self.STEPS:
+            real = getattr(gstirling.chordal, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for mod in modules:
+                if vars(mod).get(name) is real:
+                    monkeypatch.setattr(mod, name, counted)
+        code, payload = run_json(capsys, "chordal", "--from-rgs", "0,1,0,2,1,3",
+                                 "--check-all")
+        assert code == 0 and payload["checks"]["tnn_witness"] is None
+        assert calls == {name: 1 for name in self.STEPS}
 
 
 class TestFormatSelection:

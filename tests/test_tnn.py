@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from gstirling.core import SequencePair, TriMatrix
 from gstirling.stirling import preset, sequence_pair, stirling_recurrence
 from gstirling.tnn import (
+    MAX_MINORS,
     decide_tnn,
     det_exact,
     inverse_sign_pattern,
     is_tnn_exhaustive,
     iter_minors,
+    minor_count,
     unit_lower_inverse,
 )
-from oracles import cofactor_det
+from oracles import cofactor_det, triangular_minors
 from strategies import monotone_pairs
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -104,6 +106,54 @@ class TestExhaustiveScan:
         for rows, cols, value in iter_minors(m, max_order=3):
             sub = [[m.entry(r, c) for c in cols] for r in rows]
             assert value == cofactor_det(sub)
+
+
+# entries with denominators 1-4, zero half of the time, so zero leading
+# pivots (and row swaps inside the elimination) are common
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def lower_triangular(draw, max_size=5):
+    size = draw(st.integers(1, max_size))
+    return TriMatrix(tuple(
+        tuple(draw(st.lists(sparse_rationals, min_size=m + 1, max_size=m + 1)))
+        for m in range(size)
+    ))
+
+
+class TestMinorScanOracle:
+    @given(lower_triangular(), st.one_of(st.none(), st.integers(1, 5)))
+    def test_matches_combination_oracle(self, m, max_order):
+        assert list(iter_minors(m, max_order)) == triangular_minors(m.rows, max_order)
+
+    def test_count_matches_enumeration(self):
+        for size in range(1, 9):
+            per_order = [0] * (size + 1)
+            for rows, _, _ in iter_minors(TriMatrix.identity(size - 1)):
+                per_order[len(rows)] += 1
+            for max_order in range(1, size + 1):
+                assert minor_count(size, max_order) == sum(per_order[:max_order + 1])
+            assert minor_count(size) == sum(per_order)
+
+    def test_full_count_is_catalan_minus_one(self):
+        catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
+        for size in range(1, 10):
+            assert minor_count(size) == catalan[size + 1] - 1
+        assert minor_count(13) == 2_674_439
+        assert minor_count(15) == 35_357_669
+
+    def test_budget_stops_before_the_first_minor(self):
+        m = stirling_recurrence(preset("stirling2", 14))
+        assert minor_count(15) > MAX_MINORS
+        scan = iter_minors(m)
+        with pytest.raises(ValueError, match=r"35357669 minors .* budget of 1000000"):
+            next(scan)
+        with pytest.raises(ValueError, match="budget"):
+            is_tnn_exhaustive(m)
+        # a bounded order brings the same matrix under the budget
+        assert minor_count(15, 2) <= MAX_MINORS
+        assert is_tnn_exhaustive(m, max_order=2) is None
 
 
 class TestUnitLowerInverse:

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,7 +27,7 @@ from .chordal import (
     peo_stirling_matrix,
     verify_peo,
 )
-from .core import SequencePair, TriMatrix, format_rational, parse_rational
+from .core import SequencePair, format_rational, parse_rational
 from .network import WeightArray, build_initial, certify, path_matrix, pivot
 from .rook import FerrersBoard, board_pair, gjw_check, parse_board, rook_matrix
 from .stirling import (
@@ -48,37 +47,6 @@ EXIT_WITNESS = 2
 FORMATS = ("table", "json", "csv")
 METHODS = ("recurrence", "explicit", "symmetric", "network")
 FORMAT_ENV = "GSTIRLING_FORMAT"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on; equal configs produce byte-identical
-    output."""
-
-    command: str
-    fmt: str = "table"
-    a: Optional[tuple[Fraction, ...]] = None
-    e: Optional[tuple[Fraction, ...]] = None
-    preset_name: Optional[str] = None
-    n: Optional[int] = None
-    seq_file: Optional[str] = None
-    method: str = "recurrence"
-    verify_all: bool = False
-    exhaustive: bool = False
-    exhaustive_only: bool = False
-    max_minor_order: Optional[int] = None
-    pivots: tuple[tuple[int, int], ...] = ()
-    do_certify: bool = False
-    provenance: bool = False
-    graph_file: Optional[str] = None
-    from_rgs: Optional[tuple[int, ...]] = None
-    do_find_peo: bool = False
-    check_all: bool = False
-    chromatic_xs: tuple[int, ...] = ()
-    heights: Optional[tuple[int, ...]] = None
-    board_file: Optional[str] = None
-    do_gjw: bool = False
-    check_tnn: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,58 +97,61 @@ def _read_pair_file(path: str) -> SequencePair:
     return SequencePair(vals[0], vals[1])
 
 
-def _resolve_pair(cfg: RunConfig) -> SequencePair:
-    inline = cfg.a is not None or cfg.e is not None
-    sources = sum(map(bool, (inline, cfg.preset_name is not None, cfg.seq_file is not None)))
+def _resolve_pair(args: argparse.Namespace) -> SequencePair:
+    a = None if args.a is None else _parse_seq(args.a, "-a")
+    e = None if args.e is None else _parse_seq(args.e, "-e")
+    inline = a is not None or e is not None
+    sources = sum(map(bool, (inline, args.preset is not None, args.seq_file is not None)))
     if sources != 1:
         raise ValueError("provide exactly one of: -a with -e, --preset with -n, --file")
-    if cfg.preset_name is not None:
-        if cfg.n is None:
+    if args.preset is not None:
+        if args.n is None:
             raise ValueError("--preset requires -n")
-        return preset(cfg.preset_name, cfg.n)
-    if cfg.seq_file is not None:
-        sp = _read_pair_file(cfg.seq_file)
+        return preset(args.preset, args.n)
+    if args.seq_file is not None:
+        sp = _read_pair_file(args.seq_file)
     else:
-        if cfg.a is None or cfg.e is None:
+        if a is None or e is None:
             raise ValueError("-a and -e must be given together")
-        sp = SequencePair(cfg.a, cfg.e)
-    if cfg.n is not None and cfg.n != sp.n:
-        raise ValueError(f"-n {cfg.n} disagrees with sequence length {sp.n}")
+        sp = SequencePair(a, e)
+    if args.n is not None and args.n != sp.n:
+        raise ValueError(f"-n {args.n} disagrees with sequence length {sp.n}")
     return sp
 
 
-def _resolve_graph(cfg: RunConfig) -> Graph:
-    sources = sum(map(bool, (cfg.graph_file is not None, cfg.from_rgs is not None)))
+def _resolve_graph(args: argparse.Namespace) -> Graph:
+    rgs = None if args.from_rgs is None else _parse_ints(args.from_rgs, "--from-rgs")
+    sources = sum(map(bool, (args.graph_file is not None, rgs is not None)))
     if sources != 1:
         raise ValueError("provide exactly one of: --file, --from-rgs")
-    if cfg.from_rgs is not None:
-        return graph_from_rgs(cfg.from_rgs)
-    with open(cfg.graph_file, "r", encoding="utf-8") as fh:
+    if rgs is not None:
+        return graph_from_rgs(rgs)
+    with open(args.graph_file, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
 
 
-def _resolve_board(cfg: RunConfig) -> FerrersBoard:
-    sources = sum(map(bool, (cfg.heights is not None, cfg.board_file is not None)))
+def _resolve_board(args: argparse.Namespace) -> FerrersBoard:
+    heights = None if args.b is None else _parse_ints(args.b, "-b")
+    sources = sum(map(bool, (heights is not None, args.board_file is not None)))
     if sources != 1:
         raise ValueError("provide exactly one of: -b, --file")
-    if cfg.heights is not None:
-        return FerrersBoard(cfg.heights)
-    with open(cfg.board_file, "r", encoding="utf-8") as fh:
+    if heights is not None:
+        return FerrersBoard(heights)
+    with open(args.board_file, "r", encoding="utf-8") as fh:
         return parse_board(fh.read())
 
 
 # ---------------------------------------------------------------- rendering
 
-def _seq_strs(vals: Sequence[Fraction]) -> list[str]:
-    return [format_rational(v) for v in vals]
+def _grid(rows) -> list[list[str]]:
+    """Matrix rows or weight-array rows, each value formatted once."""
+    return [[format_rational(v) for v in row] for row in rows]
 
 
-def _matrix_strs(m: TriMatrix) -> list[list[str]]:
-    return [[format_rational(v) for v in row] for row in m.rows]
-
-
-def _array_strs(wa: WeightArray) -> list[list[str]]:
-    return [[format_rational(v) for v in row] for row in wa.values]
+def _pair_fields(sp: SequencePair) -> tuple[dict, list[str]]:
+    """The a and e sequences as JSON fields and as table lines."""
+    a, e = _grid((sp.a, sp.e))
+    return {"a": a, "e": e}, [f"a: {', '.join(a)}", f"e: {', '.join(e)}"]
 
 
 def _aligned(rows: list[list[str]], indent: str = "  ") -> list[str]:
@@ -188,208 +159,170 @@ def _aligned(rows: list[list[str]], indent: str = "  ") -> list[str]:
     return [indent + " ".join(c.rjust(width) for c in row) for row in rows]
 
 
-def _array_lines(wa: WeightArray, provenance: bool) -> list[str]:
+def _array_lines(grid: list[list[str]], wa: WeightArray, provenance: bool) -> list[str]:
     if not provenance:
-        return _aligned(_array_strs(wa))
-    if wa.provenance is None:
-        raise ValueError("array carries no provenance to print")
-    rows = [
-        [
-            f"a{f}-e{g}={format_rational(wa.values[m][k])}"
-            for k, (f, g) in enumerate(wa.provenance[m])
-        ]
-        for m in range(wa.n)
-    ]
-    return _aligned(rows)
+        return _aligned(grid)
+    return _aligned([
+        [f"a{f}-e{g}={v}" for v, (f, g) in zip(row, prow)]
+        for row, prow in zip(grid, wa.provenance)
+    ])
 
 
 def _pivot_list(pivots) -> str:
     return " ".join(f"[{m},{k}]" for m, k in pivots) or "(none)"
 
 
-def _matrix_triples(m: TriMatrix) -> list[tuple[int, int, Fraction]]:
-    return [(i, k, v) for i, row in enumerate(m.rows) for k, v in enumerate(row)]
-
-
-def _array_triples(wa: WeightArray) -> list[tuple[int, int, Fraction]]:
-    return [
-        (i + 1, k + 1, v) for i, row in enumerate(wa.values) for k, v in enumerate(row)
-    ]
-
-
-def _render(cfg: RunConfig, payload: dict, table: list[str],
-            triples: list[tuple[int, int, Fraction]]) -> str:
-    if cfg.fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    if cfg.fmt == "csv":
-        lines = ["m,k,value"]
-        lines += [f"{m},{k},{format_rational(v)}" for m, k, v in triples]
-        return "\n".join(lines) + "\n"
-    return "\n".join(table) + "\n"
-
-
 def _witness_json(w) -> Optional[dict]:
+    """A minor witness: row and column index sets and the value."""
     if w is None:
         return None
     return {"rows": list(w.rows), "cols": list(w.cols),
             "value": format_rational(w.value)}
 
 
+def _entry_json(w) -> Optional[dict]:
+    """An entry witness: its position and the value."""
+    if w is None:
+        return None
+    return {"row": w.row, "col": w.col, "value": format_rational(w.value)}
+
+
+def _emit(args: argparse.Namespace, payload: dict, table: list[str],
+          grid: Sequence[Sequence[str]] = (), base: int = 0) -> str:
+    """The one path from a result to output bytes.  ``grid`` holds the
+    formatted matrix (or weight array) that csv lists as (m, k, value)
+    triples, with indices counted from ``base``."""
+    if args.format == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if args.format == "csv":
+        lines = ["m,k,value"]
+        lines += [f"{m},{k},{v}" for m, row in enumerate(grid, base)
+                  for k, v in enumerate(row, base)]
+        return "\n".join(lines) + "\n"
+    return "\n".join(table) + "\n"
+
+
 # ----------------------------------------------------------------- commands
 
-def _run_matrix(cfg: RunConfig) -> tuple[str, int]:
-    sp = _resolve_pair(cfg)
+def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
+    sp = _resolve_pair(args)
     builders = {
         "recurrence": stirling_recurrence,
         "explicit": stirling_explicit,
         "symmetric": stirling_symmetric,
         "network": lambda p: path_matrix(build_initial(p)),
     }
-    matrix = builders[cfg.method](sp)
+    matrix = builders[args.method](sp)
     verified = None
-    if cfg.verify_all:
+    if args.verify_all:
         results = {name: fn(sp) for name, fn in builders.items()}
         if any(m != matrix for m in results.values()):
             raise RuntimeError(
                 "internal inconsistency: construction routes disagree"
             )
         verified = list(builders)
-    payload = {
-        "command": "matrix",
-        "n": sp.n,
-        "a": _seq_strs(sp.a),
-        "e": _seq_strs(sp.e),
-        "method": cfg.method,
-        "verified": verified,
-        "matrix": _matrix_strs(matrix),
-    }
-    table = [
-        f"a: {', '.join(_seq_strs(sp.a))}",
-        f"e: {', '.join(_seq_strs(sp.e))}",
-        f"S matrix ({cfg.method}):",
-        *_aligned(_matrix_strs(matrix)),
-    ]
+    fields, header = _pair_fields(sp)
+    grid = _grid(matrix.rows)
+    payload = {"command": "matrix", "n": sp.n, **fields, "method": args.method,
+               "verified": verified, "matrix": grid}
+    table = [*header, f"S matrix ({args.method}):", *_aligned(grid)]
     if verified:
         table.append("routes agree: " + ", ".join(verified))
-    return _render(cfg, payload, table, _matrix_triples(matrix)), EXIT_OK
+    return _emit(args, payload, table, grid), EXIT_OK
 
 
-def _certificate_json(trace) -> dict:
-    return {
-        "pivots": [list(p) for p in trace.pivots],
-        "final": _array_strs(trace.final),
-        "all_nonnegative": trace.all_nonnegative,
-    }
+def _certificate(trace, provenance: bool) -> tuple[dict, list[str]]:
+    """A pivot certificate as its JSON block and its table lines."""
+    grid = _grid(trace.final.values)
+    block = {"pivots": [list(p) for p in trace.pivots], "final": grid,
+             "all_nonnegative": trace.all_nonnegative}
+    state = ("all weights non-negative" if trace.all_nonnegative
+             else "negative weight exposed")
+    lines = ["certificate pivots: " + _pivot_list(trace.pivots),
+             f"final array ({state}):", *_array_lines(grid, trace.final, provenance)]
+    return block, lines
 
 
-def _run_check(cfg: RunConfig) -> tuple[str, int]:
-    sp = _resolve_pair(cfg)
+def _run_check(args: argparse.Namespace) -> tuple[str, int]:
+    sp = _resolve_pair(args)
+    fields, header = _pair_fields(sp)
     if not sp.a_nondecreasing:
-        if not cfg.exhaustive_only:
+        if not args.exhaustive_only:
             raise ValueError(
                 "a is not non-decreasing, so the certified decision does not "
                 "apply; pass --exhaustive-only to scan minors directly"
             )
         matrix = stirling_recurrence(sp)
-        minor = is_tnn_exhaustive(matrix, max_order=cfg.max_minor_order)
+        minor = _witness_json(is_tnn_exhaustive(matrix, max_order=args.max_minor_order))
         is_tnn = minor is None
-        payload = {
-            "command": "check",
-            "mode": "exhaustive-only",
-            "n": sp.n,
-            "a": _seq_strs(sp.a),
-            "e": _seq_strs(sp.e),
-            "is_tnn": is_tnn,
-            "minor_witness": _witness_json(minor),
-        }
-        table = [
-            f"a: {', '.join(_seq_strs(sp.a))}",
-            f"e: {', '.join(_seq_strs(sp.e))}",
-            "mode: exhaustive-only (a not non-decreasing)",
-            f"verdict: {'TNN' if is_tnn else 'NOT TNN'}",
-        ]
+        payload = {"command": "check", "mode": "exhaustive-only", "n": sp.n, **fields,
+                   "is_tnn": is_tnn, "minor_witness": minor}
+        table = [*header, "mode: exhaustive-only (a not non-decreasing)",
+                 f"verdict: {'TNN' if is_tnn else 'NOT TNN'}"]
         if minor is not None:
-            table.append(
-                f"negative minor: rows {list(minor.rows)} cols {list(minor.cols)} "
-                f"value {format_rational(minor.value)}"
-            )
-        code = EXIT_OK if is_tnn else EXIT_WITNESS
-        return _render(cfg, payload, table, _matrix_triples(matrix)), code
+            table.append(f"negative minor: rows {minor['rows']} cols {minor['cols']} "
+                         f"value {minor['value']}")
+        grid = _grid(matrix.rows) if args.format == "csv" else ()
+        return _emit(args, payload, table, grid), EXIT_OK if is_tnn else EXIT_WITNESS
 
     verdict = decide_tnn(sp)
     # only the scan and the csv triples read the matrix itself
-    matrix = stirling_recurrence(sp) if cfg.exhaustive or cfg.fmt == "csv" else None
+    matrix = stirling_recurrence(sp) if args.exhaustive or args.format == "csv" else None
     exhaustive_block = None
-    if cfg.exhaustive:
-        minor = is_tnn_exhaustive(matrix, max_order=cfg.max_minor_order)
-        agrees = (minor is None) == verdict.is_tnn
-        if not agrees:
+    if args.exhaustive:
+        minor = is_tnn_exhaustive(matrix, max_order=args.max_minor_order)
+        if (minor is None) != verdict.is_tnn:
             raise RuntimeError(
                 "internal inconsistency: exhaustive minor scan disagrees "
                 "with the certified decision"
             )
         exhaustive_block = {"agrees": True, "minor_witness": _witness_json(minor)}
+    violation = verdict.rgs.violation
+    witness = _entry_json(verdict.witness)
     payload = {
-        "command": "check",
-        "mode": "certified",
-        "n": sp.n,
-        "a": _seq_strs(sp.a),
-        "e": _seq_strs(sp.e),
+        "command": "check", "mode": "certified", "n": sp.n, **fields,
         "is_tnn": verdict.is_tnn,
         "cap_indices": list(verdict.rgs.cap_indices),
-        "violation": (
-            None
-            if verdict.rgs.violation is None
-            else {"index": verdict.rgs.violation.index,
-                  "level": verdict.rgs.violation.level}
-        ),
-        "certificate": (
-            None if verdict.certificate is None
-            else _certificate_json(verdict.certificate)
-        ),
-        "entry_witness": (
-            None
-            if verdict.witness is None
-            else {"row": verdict.witness.row, "col": verdict.witness.col,
-                  "value": format_rational(verdict.witness.value)}
-        ),
+        "violation": (None if violation is None
+                      else {"index": violation.index, "level": violation.level}),
+        "certificate": None,
+        "entry_witness": witness,
         "exhaustive": exhaustive_block,
     }
     table = [
-        f"a: {', '.join(_seq_strs(sp.a))}",
-        f"e: {', '.join(_seq_strs(sp.e))}",
+        *header,
         f"caps: {' '.join(str(c) for c in verdict.rgs.cap_indices)}",
         f"verdict: {'TNN' if verdict.is_tnn else 'NOT TNN'}",
     ]
     if verdict.certificate is not None:
-        t = verdict.certificate
-        table.append("certificate pivots: " + _pivot_list(t.pivots))
-        table.append("final array (all weights non-negative):")
-        table += _array_lines(t.final, cfg.provenance)
-    if verdict.rgs.violation is not None:
-        v = verdict.rgs.violation
+        payload["certificate"], lines = _certificate(verdict.certificate, args.provenance)
+        table += lines
+    if violation is not None:
         table.append(
-            f"violation: e_{v.index} exceeds the level-{v.level} cap "
-            f"a_{v.level} = {format_rational(sp.a[v.level - 1])}"
+            f"violation: e_{violation.index} exceeds the level-{violation.level} cap "
+            f"a_{violation.level} = {fields['a'][violation.level - 1]}"
         )
-    if verdict.witness is not None:
-        w = verdict.witness
+    if witness is not None:
         table.append(
-            f"entry witness: S({w.row},{w.col}) = {format_rational(w.value)} < 0"
+            f"entry witness: S({witness['row']},{witness['col']}) = {witness['value']} < 0"
         )
     if exhaustive_block is not None:
         table.append("exhaustive minor scan agrees")
-    code = EXIT_OK if verdict.is_tnn else EXIT_WITNESS
-    triples = [] if matrix is None else _matrix_triples(matrix)
-    return _render(cfg, payload, table, triples), code
+    grid = () if matrix is None else _grid(matrix.rows)
+    return _emit(args, payload, table, grid), EXIT_OK if verdict.is_tnn else EXIT_WITNESS
 
 
-def _run_network(cfg: RunConfig) -> tuple[str, int]:
-    sp = _resolve_pair(cfg)
-    wa = build_initial(sp)
-    initial = wa
+def _run_network(args: argparse.Namespace) -> tuple[str, int]:
+    pivots = []
+    for item in args.pivot:
+        pair = _parse_ints(item, "--pivot")
+        if len(pair) != 2:
+            raise ValueError(f"--pivot: expected M,K, got {item!r}")
+        pivots.append(pair)
+    sp = _resolve_pair(args)
+    initial = wa = build_initial(sp)
     applied: list[list[int]] = []
-    for m, k in cfg.pivots:
+    for m, k in pivots:
         w = wa.weight(m, k)
         if w != 0:
             raise ValueError(
@@ -399,116 +332,72 @@ def _run_network(cfg: RunConfig) -> tuple[str, int]:
             )
         wa = pivot(wa, m, k)
         applied.append([m, k])
-    trace = certify(sp) if cfg.do_certify else None
-    payload = {
-        "command": "network",
-        "n": sp.n,
-        "a": _seq_strs(sp.a),
-        "e": _seq_strs(sp.e),
-        "initial": _array_strs(initial),
-        "applied_pivots": applied,
-        "result": _array_strs(wa) if applied else None,
-        "certificate": None if trace is None else _certificate_json(trace),
-    }
-    if cfg.provenance:
-        payload["provenance"] = [
-            [list(pair) for pair in row] for row in wa.provenance
-        ]
-    table = [
-        f"a: {', '.join(_seq_strs(sp.a))}",
-        f"e: {', '.join(_seq_strs(sp.e))}",
-        "initial array:",
-        *_array_lines(initial, cfg.provenance),
-    ]
+    trace = certify(sp) if args.certify else None
+    fields, header = _pair_fields(sp)
+    initial_grid = _grid(initial.values)
+    grid = _grid(wa.values) if applied else initial_grid
+    payload = {"command": "network", "n": sp.n, **fields, "initial": initial_grid,
+               "applied_pivots": applied, "result": grid if applied else None,
+               "certificate": None}
+    table = [*header, "initial array:",
+             *_array_lines(initial_grid, initial, args.provenance)]
     if applied:
         table.append(f"after pivots {_pivot_list(applied)}:")
-        table += _array_lines(wa, cfg.provenance)
+        table += _array_lines(grid, wa, args.provenance)
     code = EXIT_OK
     if trace is not None:
-        table.append("certificate pivots: " + _pivot_list(trace.pivots))
-        table.append(
-            "final array ("
-            + ("all weights non-negative" if trace.all_nonnegative
-               else "negative weight exposed")
-            + "):"
-        )
-        table += _array_lines(trace.final, cfg.provenance)
+        payload["certificate"], lines = _certificate(trace, args.provenance)
+        table += lines
         if not trace.all_nonnegative:
             code = EXIT_WITNESS
-    return _render(cfg, payload, table, _array_triples(wa)), code
+    if args.provenance:
+        payload["provenance"] = [[list(pair) for pair in row] for row in wa.provenance]
+    return _emit(args, payload, table, grid, base=1), code
 
 
-def _run_chordal(cfg: RunConfig) -> tuple[str, int]:
-    g = _resolve_graph(cfg)
-    found_order: Optional[tuple[int, ...]] = None
-    if cfg.do_find_peo:
+def _run_chordal(args: argparse.Namespace) -> tuple[str, int]:
+    xs = () if args.chromatic is None else _parse_ints(args.chromatic, "--chromatic")
+    g = _resolve_graph(args)
+    payload = {"command": "chordal", "n": g.n, "order": list(range(1, g.n + 1)),
+               "found_order": None, "peo": None, "matrix": None, "checks": None}
+    table = [f"vertices: {g.n}"]
+    if args.find_peo:
         found_order = find_peo(g)
         if found_order is None:
-            payload = {
-                "command": "chordal",
-                "n": g.n,
-                "order": list(range(1, g.n + 1)),
-                "found_order": None,
-                "peo": None,
-                "matrix": None,
-                "checks": None,
-            }
-            table = [f"vertices: {g.n}",
-                     "no perfect elimination order exists (graph is not chordal)"]
-            return _render(cfg, payload, table, []), EXIT_WITNESS
+            table.append("no perfect elimination order exists (graph is not chordal)")
+            return _emit(args, payload, table), EXIT_WITNESS
         g = g.reorder(found_order)
+        payload["found_order"] = list(found_order)
+        table.append("elimination order found: " + " ".join(map(str, found_order)))
     report = verify_peo(g)
-    payload = {
-        "command": "chordal",
-        "n": g.n,
-        "order": list(range(1, g.n + 1)),
-        "found_order": list(found_order) if found_order is not None else None,
-        "peo": {
-            "is_peo": report.is_peo,
-            "e_sequence": list(report.e_sequence),
-            "failure": (
-                None
-                if report.failure is None
-                else {"index": report.failure.index,
-                      "pair": list(report.failure.pair)}
-            ),
-        },
-        "matrix": None,
-        "checks": None,
+    failure = report.failure
+    payload["peo"] = {
+        "is_peo": report.is_peo,
+        "e_sequence": list(report.e_sequence),
+        "failure": (None if failure is None
+                    else {"index": failure.index, "pair": list(failure.pair)}),
     }
-    table = [f"vertices: {g.n}"]
-    if found_order is not None:
-        table.append("elimination order found: " +
-                     " ".join(str(v) for v in found_order))
-    table.append(f"e-sequence: {' '.join(str(v) for v in report.e_sequence)}")
+    table.append(f"e-sequence: {' '.join(map(str, report.e_sequence))}")
     if not report.is_peo:
-        f = report.failure
         table.append(
             f"not a perfect elimination order: earlier neighbors "
-            f"{f.pair[0]} and {f.pair[1]} of vertex {f.index} are not adjacent"
+            f"{failure.pair[0]} and {failure.pair[1]} of vertex {failure.index} "
+            "are not adjacent"
         )
-        return _render(cfg, payload, table, []), EXIT_WITNESS
-    table.append("order verified: perfect elimination order")
+        return _emit(args, payload, table), EXIT_WITNESS
     matrix = peo_stirling_matrix(report)
-    payload["matrix"] = _matrix_strs(matrix)
-    table.append("graph Stirling matrix:")
-    table += _aligned(_matrix_strs(matrix))
+    grid = _grid(matrix.rows)
+    payload["matrix"] = grid
+    table += ["order verified: perfect elimination order", "graph Stirling matrix:",
+              *_aligned(grid)]
     code = EXIT_OK
-    if cfg.check_all or cfg.chromatic_xs:
+    if args.check_all or xs:
         checks: dict = {}
-        if cfg.check_all:
-            rep = matrix_checks(report, matrix, max_order=cfg.max_minor_order)
+        if args.check_all:
+            rep = matrix_checks(report, matrix, max_order=args.max_minor_order)
             checks["tnn_witness"] = _witness_json(rep.tnn_witness)
-            checks["sign_violation"] = (
-                None
-                if rep.sign_violation is None
-                else {"row": rep.sign_violation.row,
-                      "col": rep.sign_violation.col,
-                      "value": format_rational(rep.sign_violation.value)}
-            )
-            checks["zero_inverse_entries"] = [
-                list(p) for p in rep.zero_inverse_entries
-            ]
+            checks["sign_violation"] = _entry_json(rep.sign_violation)
+            checks["zero_inverse_entries"] = [list(p) for p in rep.zero_inverse_entries]
             table.append(
                 "minor scan: "
                 + ("no negative minor" if rep.tnn_witness is None
@@ -525,13 +414,10 @@ def _run_chordal(cfg: RunConfig) -> tuple[str, int]:
                 )
             if rep.tnn_witness is not None or rep.sign_violation is not None:
                 code = EXIT_WITNESS
-        if cfg.chromatic_xs:
-            results = []
-            for x in cfg.chromatic_xs:
-                ok = chromatic_check(g, x)
-                results.append({"x": x, "ok": ok})
-                if not ok:
-                    code = EXIT_WITNESS
+        if xs:
+            results = [{"x": x, "ok": chromatic_check(g, x)} for x in xs]
+            if not all(r["ok"] for r in results):
+                code = EXIT_WITNESS
             checks["chromatic"] = results
             table.append(
                 "chromatic check: "
@@ -539,38 +425,31 @@ def _run_chordal(cfg: RunConfig) -> tuple[str, int]:
                            for r in results)
             )
         payload["checks"] = checks
-    return _render(cfg, payload, table, _matrix_triples(matrix)), code
+    return _emit(args, payload, table, grid), code
 
 
-def _run_rook(cfg: RunConfig) -> tuple[str, int]:
-    board = _resolve_board(cfg)
+def _run_rook(args: argparse.Namespace) -> tuple[str, int]:
+    board = _resolve_board(args)
     matrix = rook_matrix(board)
-    sp = board_pair(board)
-    payload = {
-        "command": "rook",
-        "heights": list(board.heights),
-        "a": _seq_strs(sp.a),
-        "e": _seq_strs(sp.e),
-        "matrix": _matrix_strs(matrix),
-        "gjw": None,
-        "tnn": None,
-    }
+    fields, header = _pair_fields(board_pair(board))
+    grid = _grid(matrix.rows)
+    payload = {"command": "rook", "heights": list(board.heights), **fields,
+               "matrix": grid, "gjw": None, "tnn": None}
     table = [
-        f"heights: {', '.join(str(h) for h in board.heights)}",
-        f"a: {', '.join(_seq_strs(sp.a))}",
-        f"e: {', '.join(_seq_strs(sp.e))}",
+        f"heights: {', '.join(map(str, board.heights))}",
+        *header,
         "rook matrix (entry (m,k) = #placements of m-k rooks on first m columns):",
-        *_aligned(_matrix_strs(matrix)),
+        *_aligned(grid),
     ]
     code = EXIT_OK
-    if cfg.do_gjw:
+    if args.gjw:
         ok = gjw_check(board)
         payload["gjw"] = {"ok": ok}
         table.append("factorization identity: " + ("holds" if ok else "FAILS"))
         if not ok:
             code = EXIT_WITNESS
-    if cfg.check_tnn:
-        minor = is_tnn_exhaustive(matrix, max_order=cfg.max_minor_order)
+    if args.check_tnn:
+        minor = is_tnn_exhaustive(matrix, max_order=args.max_minor_order)
         payload["tnn"] = {"minor_witness": _witness_json(minor)}
         table.append(
             "minor scan: "
@@ -578,40 +457,32 @@ def _run_rook(cfg: RunConfig) -> tuple[str, int]:
         )
         if minor is not None:
             code = EXIT_WITNESS
-    return _render(cfg, payload, table, _matrix_triples(matrix)), code
+    return _emit(args, payload, table, grid), code
 
 
-def _run_eulerian(cfg: RunConfig) -> tuple[str, int]:
-    n = cfg.n if cfg.n is not None else 6
-    matrix = eulerian_matrix(n)
+def _run_eulerian(args: argparse.Namespace) -> tuple[str, int]:
+    matrix = eulerian_matrix(args.n)
     checked = 0
     witness = None
-    for rows, cols, value in iter_minors(matrix, max_order=cfg.max_minor_order):
+    for rows, cols, value in iter_minors(matrix, max_order=args.max_minor_order):
         checked += 1
-        if value < 0 and witness is None:
+        if value < 0:
             witness = {"rows": list(rows), "cols": list(cols),
                        "value": format_rational(value)}
             break
-    payload = {
-        "command": "eulerian",
-        "n": n,
-        "matrix": _matrix_strs(matrix),
-        "minors_checked": checked,
-        "witness": witness,
-    }
-    table = [
-        f"Eulerian triangle up to n = {n}:",
-        *_aligned(_matrix_strs(matrix)),
-        f"minors checked: {checked}",
-    ]
+    grid = _grid(matrix.rows)
+    payload = {"command": "eulerian", "n": args.n, "matrix": grid,
+               "minors_checked": checked, "witness": witness}
+    table = [f"Eulerian triangle up to n = {args.n}:", *_aligned(grid),
+             f"minors checked: {checked}"]
     if witness is None:
         table.append("no negative minor found")
-        return _render(cfg, payload, table, _matrix_triples(matrix)), EXIT_OK
+        return _emit(args, payload, table, grid), EXIT_OK
     table.append(
         f"NEGATIVE MINOR: rows {witness['rows']} cols {witness['cols']} "
         f"value {witness['value']}"
     )
-    return _render(cfg, payload, table, _matrix_triples(matrix)), EXIT_WITNESS
+    return _emit(args, payload, table, grid), EXIT_WITNESS
 
 
 _RUNNERS = {
@@ -622,16 +493,6 @@ _RUNNERS = {
     "rook": _run_rook,
     "eulerian": _run_eulerian,
 }
-
-
-def run(cfg: RunConfig) -> tuple[str, int]:
-    """Execute a config and return (output text, exit code).  Pure in the
-    sense that equal configs yield identical output bytes."""
-    if cfg.fmt not in FORMATS:
-        raise ValueError(f"unknown format {cfg.fmt!r}; choose from {FORMATS}")
-    if cfg.command not in _RUNNERS:
-        raise ValueError(f"unknown command {cfg.command!r}")
-    return _RUNNERS[cfg.command](cfg)
 
 
 def _add_pair_options(sub: argparse.ArgumentParser) -> None:
@@ -717,78 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fmt = args.format
-    if fmt is None:
-        fmt = os.environ.get(FORMAT_ENV) or "table"
-    kwargs = {"command": args.command, "fmt": fmt}
-    if args.command in ("matrix", "check", "network"):
-        kwargs.update(
-            a=_parse_seq(args.a, "-a") if args.a is not None else None,
-            e=_parse_seq(args.e, "-e") if args.e is not None else None,
-            preset_name=args.preset,
-            n=args.n,
-            seq_file=args.seq_file,
-        )
-    if args.command == "matrix":
-        kwargs.update(method=args.method, verify_all=args.verify_all)
-    if args.command == "check":
-        kwargs.update(
-            exhaustive=args.exhaustive,
-            exhaustive_only=args.exhaustive_only,
-            max_minor_order=args.max_minor_order,
-            provenance=args.provenance,
-        )
-    if args.command == "network":
-        pivots = []
-        for item in args.pivot:
-            pair = _parse_ints(item, "--pivot")
-            if len(pair) != 2:
-                raise ValueError(f"--pivot: expected M,K, got {item!r}")
-            pivots.append((pair[0], pair[1]))
-        kwargs.update(
-            pivots=tuple(pivots),
-            do_certify=args.certify,
-            provenance=args.provenance,
-        )
-    if args.command == "chordal":
-        kwargs.update(
-            graph_file=args.graph_file,
-            from_rgs=(
-                _parse_ints(args.from_rgs, "--from-rgs")
-                if args.from_rgs is not None
-                else None
-            ),
-            do_find_peo=args.find_peo,
-            check_all=args.check_all,
-            chromatic_xs=(
-                _parse_ints(args.chromatic, "--chromatic")
-                if args.chromatic is not None
-                else ()
-            ),
-            max_minor_order=args.max_minor_order,
-        )
-    if args.command == "rook":
-        kwargs.update(
-            heights=(
-                _parse_ints(args.b, "-b") if args.b is not None else None
-            ),
-            board_file=args.board_file,
-            do_gjw=args.gjw,
-            check_tnn=args.check_tnn,
-            max_minor_order=args.max_minor_order,
-        )
-    if args.command == "eulerian":
-        kwargs.update(n=args.n, max_minor_order=args.max_minor_order)
-    return RunConfig(**kwargs)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.format is None:
+        args.format = os.environ.get(FORMAT_ENV) or "table"
     try:
-        cfg = config_from_args(args)
-        out, code = run(cfg)
+        if args.format not in FORMATS:
+            raise ValueError(f"unknown format {args.format!r}; choose from {FORMATS}")
+        out, code = _RUNNERS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

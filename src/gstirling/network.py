@@ -8,7 +8,7 @@ composition of m-k, and its weight is the product of traversed vertical-edge
 weights.  The path matrix M(m,k) sums these weights over all paths.
 
 Weight arrays may carry provenance: each weight is some a_f - e_g and the
-(f,g) index pair is stored alongside, with the value always recomputed from
+(f,g) index pair is stored alongside, with the value always derived from
 the pair.  Pivoting rewrites provenance only, rotating e-indices in place.
 """
 
@@ -27,32 +27,39 @@ class WeightArray:
     holds the weights at positions [m,1]..[m,m].
 
     provenance[m-1][k-1] = (f, g) means the weight at [m,k] is a_f - e_g for
-    the attached SequencePair; raw arrays carry no provenance.
+    the attached SequencePair; raw arrays carry no provenance.  With
+    provenance the weights are derived from it: values may then be None, and
+    values that are given must agree with it.
     """
 
     n: int
-    values: tuple[tuple[Fraction, ...], ...]
+    values: Optional[tuple[tuple[Fraction, ...], ...]]
     provenance: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
     seq: Optional[SequencePair] = None
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.values)}")
-        vals = tuple(tuple(Fraction(v) for v in row) for row in self.values)
+        if self.provenance is None:
+            vals = tuple(tuple(Fraction(v) for v in row) for row in self.values)
+        elif self.seq is None:
+            raise ValueError("provenance requires an attached sequence pair")
+        else:
+            a, e = self.seq.a, self.seq.e
+            vals = tuple(tuple(a[f - 1] - e[g - 1] for f, g in row)
+                         for row in self.provenance)
+        if len(vals) != self.n:
+            raise ValueError(f"expected {self.n} rows, got {len(vals)}")
         for m, row in enumerate(vals, start=1):
             if len(row) != m:
                 raise ValueError(f"row {m} has {len(row)} entries, expected {m}")
-        object.__setattr__(self, "values", vals)
-        if self.provenance is not None:
-            if self.seq is None:
-                raise ValueError("provenance requires an attached sequence pair")
-            a, e = self.seq.a, self.seq.e
-            for m, (row, prow) in enumerate(zip(vals, self.provenance, strict=True), 1):
-                for k, (v, (f, g)) in enumerate(zip(row, prow, strict=True), 1):
-                    if v != a[f - 1] - e[g - 1]:
+        if self.provenance is not None and self.values is not None:
+            for m, (row, derived) in enumerate(zip(self.values, vals, strict=True), 1):
+                for k, (v, d) in enumerate(zip(row, derived, strict=True), 1):
+                    if Fraction(v) != d:
+                        f, g = self.provenance[m - 1][k - 1]
                         raise ValueError(
                             f"weight at [{m},{k}] disagrees with provenance a{f}-e{g}"
                         )
+        object.__setattr__(self, "values", vals)
 
     def weight(self, m: int, k: int) -> Fraction:
         if not (1 <= k <= m <= self.n):
@@ -64,7 +71,7 @@ class WeightArray:
 
     @classmethod
     def from_values(cls, rows: Sequence[Sequence]) -> "WeightArray":
-        return cls(n=len(rows), values=tuple(tuple(Fraction(v) for v in r) for r in rows))
+        return cls(n=len(rows), values=tuple(map(tuple, rows)))
 
 
 def _initial_e_indices(n: int) -> list[list[int]]:
@@ -75,8 +82,7 @@ def _initial_e_indices(n: int) -> list[list[int]]:
 def _from_provenance(sp: SequencePair, rows) -> WeightArray:
     """WeightArray with weight a_f - e_g for each (f, g) pair in rows 1..n."""
     prov = tuple(tuple(row) for row in rows)
-    vals = tuple(tuple(sp.a[f - 1] - sp.e[g - 1] for f, g in row) for row in prov)
-    return WeightArray(n=sp.n, values=vals, provenance=prov, seq=sp)
+    return WeightArray(n=sp.n, values=None, provenance=prov, seq=sp)
 
 
 def build_initial(sp: SequencePair) -> WeightArray:
@@ -209,8 +215,8 @@ def _rotate_e_indices(e_rows: list[list[int]], m: int, k: int) -> None:
 
 def pivot(wa: WeightArray, m: int, k: int) -> WeightArray:
     """Pivot at [m,k] by _rotate_e_indices on a copy of the e-indices;
-    a-indices are untouched.  The new array's weights are recomputed from,
-    and checked against, its provenance.  Requires provenance."""
+    a-indices are untouched.  The new array's weights are derived
+    from its provenance.  Requires provenance."""
     if wa.provenance is None or wa.seq is None:
         raise ValueError("pivot requires provenance-carrying weights")
     if not (1 <= k <= m <= wa.n):
@@ -244,7 +250,7 @@ def certify(sp: SequencePair) -> PivotTrace:
     f; a violation e_i > a_f stops the trace, leaving the negative weight
     a_f - e_i exposed at [i, f].
     Each pivot checks its weight is 0 and rotates build_initial's e-indices
-    in place; the final WeightArray is built, and checked, once.
+    in place; the final WeightArray is built once.
     """
     if not sp.a_nondecreasing:
         raise ValueError("certify requires a non-decreasing a-sequence")

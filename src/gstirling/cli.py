@@ -246,18 +246,19 @@ def _certificate(trace, provenance: bool) -> tuple[dict, list[str]]:
 def _run_check(args: argparse.Namespace) -> tuple[str, int]:
     sp = _resolve_pair(args)
     fields, header = _pair_fields(sp)
-    if not sp.a_nondecreasing:
-        if not args.exhaustive_only:
-            raise ValueError(
-                "a is not non-decreasing, so the certified decision does not "
-                "apply; pass --exhaustive-only to scan minors directly"
-            )
+    if not (sp.a_nondecreasing or args.exhaustive_only):
+        raise ValueError(
+            "a is not non-decreasing, so the certified decision does not "
+            "apply; pass --exhaustive-only to scan minors directly"
+        )
+    if args.exhaustive_only:
         matrix = stirling_recurrence(sp)
         minor = _witness_json(is_tnn_exhaustive(matrix, max_order=args.max_minor_order))
         is_tnn = minor is None
         payload = {"command": "check", "mode": "exhaustive-only", "n": sp.n, **fields,
                    "is_tnn": is_tnn, "minor_witness": minor}
-        table = [*header, "mode: exhaustive-only (a not non-decreasing)",
+        mode = "" if sp.a_nondecreasing else " (a not non-decreasing)"
+        table = [*header, f"mode: exhaustive-only{mode}",
                  f"verdict: {'TNN' if is_tnn else 'NOT TNN'}"]
         if minor is not None:
             table.append(f"negative minor: rows {minor['rows']} cols {minor['cols']} "

@@ -352,6 +352,47 @@ class TestCertifiedMatrixOnDemand:
             assert parse_rational(witness["value"]) < 0
 
 
+class TestExhaustiveOnlyForMonotoneA:
+    """--exhaustive-only scans minors instead of the certified decision for
+    a non-decreasing a too."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name, real in (("decide_tnn", gstirling.cli.decide_tnn),
+                           ("is_tnn_exhaustive", gstirling.cli.is_tnn_exhaustive)):
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(gstirling.cli, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("e,tnn", [("0,1,1", True), ("0,2,1", False)])
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_scans_minors(self, capsys, calls, e, tnn, fmt):
+        code, out, err = run_cli(capsys, "check", "-a", "0,1,2", "-e", e,
+                                 "--exhaustive-only", "--format", fmt)
+        assert err == "" and code == (0 if tnn else 2)
+        assert calls == ["is_tnn_exhaustive"]
+        matrix = stirling_recurrence(sequence_pair(["0", "1", "2"], e.split(",")))
+        if fmt == "table":
+            assert out.splitlines()[2:4] == ["mode: exhaustive-only",
+                                             f"verdict: {'TNN' if tnn else 'NOT TNN'}"]
+            assert ("negative minor: rows [2] cols [1] value -1" in out) != tnn
+        elif fmt == "json":
+            payload = json.loads(out)
+            jsonschema.validate(payload, SCHEMA)
+            assert payload["mode"] == "exhaustive-only" and payload["is_tnn"] is tnn
+            assert payload["minor_witness"] == (
+                None if tnn else {"rows": [2], "cols": [1], "value": "-1"})
+        else:
+            assert out.splitlines() == ["m,k,value"] + [
+                f"{m},{k},{format_rational(matrix.entry(m, k))}"
+                for m in range(4) for k in range(m + 1)
+            ]
+
+
 class TestMinorBudget:
     """A minor scan over MAX_MINORS minors stops before evaluating any."""
 

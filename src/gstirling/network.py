@@ -71,7 +71,7 @@ class WeightArray:
 
     @classmethod
     def from_values(cls, rows: Sequence[Sequence]) -> "WeightArray":
-        return cls(n=len(rows), values=tuple(map(tuple, rows)))
+        return cls(n=len(rows), values=tuple(tuple(Fraction(v) for v in r) for r in rows))
 
 
 def _initial_e_indices(n: int) -> list[list[int]]:

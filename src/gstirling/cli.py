@@ -309,7 +309,7 @@ def _run_check(args: argparse.Namespace) -> tuple[str, int]:
         )
     if exhaustive_block is not None:
         table.append("exhaustive minor scan agrees")
-    grid = () if matrix is None else _grid(matrix.rows)
+    grid = _grid(matrix.rows) if args.format == "csv" else ()
     return _emit(args, payload, table, grid), EXIT_OK if verdict.is_tnn else EXIT_WITNESS
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Collection, Optional, Sequence
 
 from .core import SequencePair, TriMatrix
@@ -137,10 +138,11 @@ def verify_peo(g: Graph) -> PeoReport:
     return PeoReport(is_peo=failure is None, e_sequence=tuple(e_seq), failure=failure)
 
 
-def find_peo(g: Graph) -> Optional[tuple[int, ...]]:
+def find_peo(g: Graph) -> Optional[tuple[tuple[int, ...], Graph, PeoReport]]:
     """Search for a perfect elimination order by maximum cardinality search
     (ties broken toward the smallest label), then re-verify.  Returns the
-    order as original labels, or None when verification fails (graph not
+    order as original labels, the graph relabeled in that order and its
+    elimination report, or None when verification fails (graph not
     chordal)."""
     chosen: list[int] = []
     picked = [False] * (g.n + 1)
@@ -156,7 +158,9 @@ def find_peo(g: Graph) -> Optional[tuple[int, ...]]:
             if not picked[u]:
                 score[u] += 1
     order = tuple(chosen)
-    return order if verify_peo(g.reorder(order)).is_peo else None
+    reordered = g.reorder(order)
+    report = verify_peo(reordered)
+    return (order, reordered, report) if report.is_peo else None
 
 
 def graph_stirling_matrix(g: Graph) -> TriMatrix:
@@ -243,28 +247,28 @@ def falling(x: int, k: int) -> int:
     return out
 
 
-def chromatic_check(g: Graph, x: int) -> bool:
-    """Compare the proper-coloring count at x against the falling-factorial
-    expansion sum_k {G brace k} (x)_k, and, when the label order is a perfect
-    elimination order, also against prod_i (x - e_i)."""
+def chromatic_check(g: Graph, xs: Sequence[int]) -> list[bool]:
+    """For each x in xs, compare the proper-coloring count at x against the
+    falling-factorial expansion sum_k {G brace k} (x)_k, and, when the label
+    order is a perfect elimination order, also against prod_i (x - e_i).
+    The brute-force row {G brace k} and the elimination report are taken
+    once for all x."""
     if g.n > _COLORING_VERTEX_CAP:
         raise ValueError(f"coloring check capped at {_COLORING_VERTEX_CAP} vertices")
-    if x > _COLORING_COLOR_CAP:
-        raise ValueError(f"coloring check capped at {_COLORING_COLOR_CAP} colors")
-    direct = count_proper_colorings(g, x)
-    expansion = sum(
-        graph_stirling_bruteforce(g, g.n, k) * falling(x, k) for k in range(g.n + 1)
-    )
-    if direct != expansion:
-        return False
+    direct = []
+    for x in xs:
+        if x > _COLORING_COLOR_CAP:
+            raise ValueError(f"coloring check capped at {_COLORING_COLOR_CAP} colors")
+        direct.append(count_proper_colorings(g, x))
+    row = [graph_stirling_bruteforce(g, g.n, k) for k in range(g.n + 1)]
     report = verify_peo(g)
-    if report.is_peo:
-        product = 1
-        for e in report.e_sequence:
-            product *= x - e
-        if direct != product:
-            return False
-    return True
+    results = []
+    for x, count in zip(xs, direct):
+        ok = count == sum(s * falling(x, k) for k, s in enumerate(row))
+        if ok and report.is_peo:
+            ok = count == prod(x - e for e in report.e_sequence)
+        results.append(ok)
+    return results
 
 
 def _clique_number(partial: list[set[int]], cand: set[int]) -> int:

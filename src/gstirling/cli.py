@@ -324,7 +324,10 @@ def _run_network(args: argparse.Namespace) -> tuple[str, int]:
     initial = wa = build_initial(sp)
     applied: list[list[int]] = []
     for m, k in pivots:
-        w = wa.weight(m, k)
+        try:
+            w = wa.weight(m, k)
+        except IndexError as exc:
+            raise ValueError(f"--pivot: {exc} in size {sp.n}") from None
         if w != 0:
             raise ValueError(
                 f"refusing to pivot at [{m},{k}]: weight is "
@@ -363,14 +366,15 @@ def _run_chordal(args: argparse.Namespace) -> tuple[str, int]:
                "found_order": None, "peo": None, "matrix": None, "checks": None}
     table = [f"vertices: {g.n}"]
     if args.find_peo:
-        found_order = find_peo(g)
-        if found_order is None:
+        found = find_peo(g)
+        if found is None:
             table.append("no perfect elimination order exists (graph is not chordal)")
             return _emit(args, payload, table), EXIT_WITNESS
-        g = g.reorder(found_order)
+        found_order, g, report = found
         payload["found_order"] = list(found_order)
         table.append("elimination order found: " + " ".join(map(str, found_order)))
-    report = verify_peo(g)
+    else:
+        report = verify_peo(g)
     failure = report.failure
     payload["peo"] = {
         "is_peo": report.is_peo,
@@ -413,10 +417,10 @@ def _run_chordal(args: argparse.Namespace) -> tuple[str, int]:
                     "zero inverse entries: "
                     + " ".join(f"({m},{k})" for m, k in rep.zero_inverse_entries)
                 )
-            if rep.tnn_witness is not None or rep.sign_violation is not None:
+            if not rep.ok:
                 code = EXIT_WITNESS
         if xs:
-            results = [{"x": x, "ok": chromatic_check(g, x)} for x in xs]
+            results = [{"x": x, "ok": ok} for x, ok in zip(xs, chromatic_check(g, xs))]
             if not all(r["ok"] for r in results):
                 code = EXIT_WITNESS
             checks["chromatic"] = results

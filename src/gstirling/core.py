@@ -1,5 +1,5 @@
-"""Exact-arithmetic building blocks: rationals, sequence pairs, triangular
-matrices, and polynomials written in a shifted (Newton-style) basis.
+"""Exact-arithmetic building blocks: rationals, sequence pairs and
+lower-triangular matrices.
 
 All numeric work in this package runs over `fractions.Fraction`.  The helpers
 here own the text serialization contract: a rational renders as a decimal
@@ -97,91 +97,3 @@ class TriMatrix:
         if not (0 <= m <= self.n and 0 <= k <= self.n):
             raise IndexError(f"entry ({m},{k}) outside size {self.n}")
         return self.rows[m][k] if k <= m else Fraction(0)
-
-    def mul(self, other: "TriMatrix") -> "TriMatrix":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        rows = []
-        for m in range(self.n + 1):
-            rows.append(
-                tuple(
-                    sum(
-                        (self.rows[m][j] * other.rows[j][k] for j in range(k, m + 1)),
-                        Fraction(0),
-                    )
-                    for k in range(m + 1)
-                )
-            )
-        return TriMatrix(tuple(rows))
-
-    def is_identity(self) -> bool:
-        return all(
-            v == (1 if m == k else 0)
-            for m, row in enumerate(self.rows)
-            for k, v in enumerate(row)
-        )
-
-    @classmethod
-    def identity(cls, n: int) -> "TriMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if k == m else 0) for k in range(m + 1))
-                for m in range(n + 1)
-            )
-        )
-
-
-@dataclass(frozen=True)
-class NewtonPoly:
-    """Polynomial sum_k coeffs[k] * prod_{i<=k} (x - basis_roots[i-1]), i.e.
-    written in the basis of prefix products of (x - a_i)."""
-
-    basis_roots: tuple[Fraction, ...]
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis_roots", _coerce(self.basis_roots))
-        object.__setattr__(self, "coeffs", _coerce(self.coeffs))
-        if len(self.coeffs) > len(self.basis_roots) + 1:
-            raise ValueError(
-                f"{len(self.coeffs)} coefficients need at least "
-                f"{len(self.coeffs) - 1} basis roots, got {len(self.basis_roots)}"
-            )
-
-
-def newton_expand(
-    roots_e: Iterable[RationalLike], basis_roots: Iterable[RationalLike]
-) -> NewtonPoly:
-    """Expand prod_i (x - e_i) in the shifted basis B_k = prod_{i<=k}(x - a_i).
-
-    Synthetic division, one root at a time: multiplying p = sum c_k B_k by
-    (x - e) and rewriting x*B_k = B_{k+1} + a_{k+1} B_k gives the update
-    c'_k = c_{k-1} + (a_{k+1} - e) c_k.  Requires len(e) <= len(a).
-    """
-    e = _coerce(roots_e)
-    a = _coerce(basis_roots)
-    if len(e) > len(a):
-        raise ValueError(f"need at least {len(e)} basis roots, got {len(a)}")
-    coeffs = [Fraction(1)]
-    for root in e:
-        deg = len(coeffs) - 1
-        nxt = [Fraction(0)] * (deg + 2)
-        for k in range(deg + 2):
-            val = coeffs[k - 1] if k >= 1 else Fraction(0)
-            if k <= deg:
-                val += (a[k] - root) * coeffs[k]
-            nxt[k] = val
-        coeffs = nxt
-    return NewtonPoly(a, tuple(coeffs))
-
-
-def poly_eval(p: NewtonPoly, x: RationalLike) -> Fraction:
-    """Evaluate a NewtonPoly at x by accumulating prefix products."""
-    x = Fraction(x) if not isinstance(x, str) else parse_rational(x)
-    total = Fraction(0)
-    prefix = Fraction(1)
-    for k, c in enumerate(p.coeffs):
-        total += c * prefix
-        if k < len(p.basis_roots):
-            prefix *= x - p.basis_roots[k]
-    return total

@@ -3,9 +3,9 @@
 The network has sources s_0..s_n on the left, sinks t_0..t_n on the right,
 horizontal edges of weight 1, and one weighted vertical edge [m,k] joining
 row m to row m-1 in column k, for 1 <= k <= m <= n.  A path s_m -> t_k moves
-right and climbs; its column-by-column climb amounts (b_1,..,b_{k+1}) form a
-composition of m-k, and its weight is the product of traversed vertical-edge
-weights.  The path matrix M(m,k) sums these weights over all paths.
+right and climbs; its weight is the product of traversed vertical-edge
+weights.  The path matrix M(m,k) sums these weights over all paths, and
+path_matrix computes it by a column sweep, without listing the paths.
 
 Weight arrays may carry provenance: each weight is some a_f - e_g and the
 (f,g) index pair is stored alongside, with the value always derived from
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional
 
 from .core import SequencePair, TriMatrix
 
@@ -69,10 +69,6 @@ class WeightArray:
     def all_nonnegative(self) -> bool:
         return all(v >= 0 for row in self.values for v in row)
 
-    @classmethod
-    def from_values(cls, rows: Sequence[Sequence]) -> "WeightArray":
-        return cls(n=len(rows), values=tuple(tuple(Fraction(v) for v in r) for r in rows))
-
 
 def _initial_e_indices(n: int) -> list[list[int]]:
     """e-index m-k+1 at [m,k], as mutable rows; the a-index there is k."""
@@ -94,116 +90,21 @@ def path_matrix(wa: WeightArray) -> TriMatrix:
     """Sum path weights s_m -> t_k for all (m,k) by one column sweep per
     source.
 
-    A[r] accumulates the weight of partial paths currently at row r; column c
-    is processed by climbing in place, A[r] += w[r+1,c] * A[r+1] for r
-    descending, after which A[c-1] is final and equals M(m, c-1).
+    acc[r] accumulates the weight of partial paths currently at row r <= m,
+    since paths only climb.  Column c is processed by climbing in place,
+    acc[r] += w[r+1,c] * acc[r+1] for r = m-1 down to c-1, after which
+    acc[c-1] is final and equals M(m, c-1); at the end acc is row m.
     """
-    n = wa.n
     rows: list[list[Fraction]] = []
-    for m in range(n + 1):
-        acc = [Fraction(0)] * (n + 1)
-        acc[m] = Fraction(1)
-        out = [Fraction(0)] * (m + 1)
-        for c in range(1, m + 2):
-            for r in range(n - 1, c - 2, -1):
-                if r + 1 <= n and c <= r + 1:
-                    w = wa.values[r][c - 1]
-                    if w != 0 and acc[r + 1] != 0:
-                        acc[r] += w * acc[r + 1]
-            if 0 <= c - 1 <= m:
-                out[c - 1] = acc[c - 1]
-        rows.append(out)
+    for m in range(wa.n + 1):
+        acc = [Fraction(0)] * m + [Fraction(1)]
+        for c in range(1, m + 1):
+            for r in range(m - 1, c - 2, -1):
+                w = wa.values[r][c - 1]
+                if w != 0 and acc[r + 1] != 0:
+                    acc[r] += w * acc[r + 1]
+        rows.append(acc)
     return TriMatrix(tuple(tuple(r) for r in rows))
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All (b_1..b_parts) of non-negative integers summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _path_weight(wa: WeightArray, m: int, comp: tuple[int, ...]) -> Fraction:
-    w = Fraction(1)
-    r = m
-    for c, climb in enumerate(comp, start=1):
-        for _ in range(climb):
-            w *= wa.values[r - 1][c - 1]
-            r -= 1
-    return w
-
-
-def _path_nodes(m: int, k: int, comp: tuple[int, ...]) -> frozenset:
-    """Every vertex a path touches: source, each (row, column) crossing, and
-    sink.  Disjointness of path families is decided on these sets."""
-    nodes = [("s", m)]
-    r = m
-    for c, climb in enumerate(comp, start=1):
-        nodes.append((r, c))
-        for _ in range(climb):
-            r -= 1
-            nodes.append((r, c))
-    nodes.append(("t", k))
-    return frozenset(nodes)
-
-
-def enumerate_paths(
-    wa: WeightArray, m: int, k: int
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """All paths s_m -> t_k as (composition of m-k into k+1 parts, weight)."""
-    if not (0 <= m <= wa.n and 0 <= k <= wa.n):
-        raise IndexError(f"source/sink ({m},{k}) outside size {wa.n}")
-    if k > m:
-        return []
-    return [
-        (comp, _path_weight(wa, m, comp)) for comp in _compositions(m - k, k + 1)
-    ]
-
-
-def lindstrom_minor(
-    wa: WeightArray, rows: Sequence[int], cols: Sequence[int]
-) -> Fraction:
-    """Sum of weight products over vertex-disjoint path families joining
-    s_{rows[t]} -> t_{cols[t]}.  In this planar topology only the
-    order-preserving matching admits disjoint families, so the sum equals the
-    corresponding minor of the path matrix."""
-    I = tuple(rows)
-    J = tuple(cols)
-    if len(I) != len(J) or len(I) == 0:
-        raise ValueError("need equally many rows and columns, at least one each")
-    if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
-        raise ValueError("rows and columns must be strictly increasing")
-    if not all(0 <= v <= wa.n for v in I + J):
-        raise IndexError(f"indices outside size {wa.n}")
-    options = [enumerate_paths(wa, m, k) for m, k in zip(I, J)]
-    if any(len(opt) == 0 for opt in options):
-        return Fraction(0)
-    node_sets = [
-        [_path_nodes(m, k, comp) for comp, _ in opts]
-        for (m, k), opts in zip(zip(I, J), options)
-    ]
-    total = Fraction(0)
-
-    def descend(t: int, used: frozenset, weight: Fraction) -> None:
-        nonlocal total
-        if t == len(I):
-            total += weight
-            return
-        for idx, (comp, w) in enumerate(options[t]):
-            nodes = node_sets[t][idx]
-            if used & nodes:
-                continue
-            descend(t + 1, used | nodes, weight * w)
-
-    descend(0, frozenset(), Fraction(1))
-    return total
 
 
 def _rotate_e_indices(e_rows: list[list[int]], m: int, k: int) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import RationalLike, SequencePair, TriMatrix, _coerce
@@ -94,80 +93,26 @@ def stirling_recurrence(sp: SequencePair) -> TriMatrix:
     return TriMatrix(tuple(tuple(r) for r in rows))
 
 
-def _subset_sum_matrix(
-    a: Sequence[Fraction], e: Sequence[Fraction], n: int, factor
-) -> TriMatrix:
-    """Shared DP for the explicit subset sums.  Scanning s = 1..n and letting
-    T[s][j] count subsets {s_1<..<s_j} of {1..s} with s as an optional last
-    element gives T[s][j] = T[s-1][j] + factor(s, j) * T[s-1][j-1], where
-    factor(s, j) is the weight of s when it is the j-th chosen element."""
+def stirling_explicit(sp: SequencePair) -> TriMatrix:
+    """Explicit formula S(m,k) = sum over (m-k)-subsets {s_1<..<s_{m-k}} of
+    {1..m} of prod_i (a_{s_i - i + 1} - e_{s_i}), by dynamic programming.
+
+    Scanning s = 1..n and letting T[s][j] sum the subsets {s_1<..<s_j} of
+    {1..s} gives T[s][j] = T[s-1][j] + (a_{s-j+1} - e_s) T[s-1][j-1], the
+    factor being the weight of s as the j-th chosen element; row s of the
+    matrix is T[s] read backwards.
+    """
     rows: list[list[Fraction]] = [[Fraction(1)]]
     table = [Fraction(1)]
-    for s in range(1, n + 1):
+    for s in range(1, sp.n + 1):
         nxt = [Fraction(0)] * (s + 1)
         nxt[0] = Fraction(1)
         for j in range(1, s + 1):
-            nxt[j] = (table[j] if j < s else Fraction(0)) + factor(s, j) * table[j - 1]
+            nxt[j] = ((table[j] if j < s else Fraction(0))
+                      + (sp.a[s - j] - sp.e[s - 1]) * table[j - 1])
         table = nxt
         rows.append([table[s - k] for k in range(s + 1)])
     return TriMatrix(tuple(tuple(r) for r in rows))
-
-
-def stirling_explicit(sp: SequencePair, naive: bool = False) -> TriMatrix:
-    """Explicit formula S(m,k) = sum over (m-k)-subsets {s_1<..<s_{m-k}} of
-    {1..m} of prod_i (a_{s_i - i + 1} - e_{s_i}).
-
-    The default evaluates the sum by dynamic programming; naive=True
-    enumerates the subsets directly and serves as an independent oracle.
-    """
-    n = sp.n
-    if naive:
-        rows = []
-        for m in range(n + 1):
-            row = []
-            for k in range(m + 1):
-                total = Fraction(0)
-                for sub in combinations(range(1, m + 1), m - k):
-                    prod = Fraction(1)
-                    for i, s in enumerate(sub, start=1):
-                        prod *= sp.a[s - i] - sp.e[s - 1]
-                    total += prod
-                row.append(total)
-            rows.append(tuple(row))
-        return TriMatrix(tuple(rows))
-    return _subset_sum_matrix(
-        sp.a, sp.e, n, lambda s, j: sp.a[s - j] - sp.e[s - 1]
-    )
-
-
-def stirling_inverse_explicit(sp: SequencePair, naive: bool = False) -> TriMatrix:
-    """Signed inverse entries s(m,k) with
-    (-1)^{m-k} s(m,k) = sum over (m-k)-subsets of prod_i (a_{s_i} - e_{s_i - i + 1});
-    S^{a,e} and (s(m,k)) multiply to the identity.  Equals S^{e,a} entrywise."""
-    n = sp.n
-    if naive:
-        rows = []
-        for m in range(n + 1):
-            row = []
-            for k in range(m + 1):
-                total = Fraction(0)
-                for sub in combinations(range(1, m + 1), m - k):
-                    prod = Fraction(1)
-                    for i, s in enumerate(sub, start=1):
-                        prod *= sp.a[s - 1] - sp.e[s - i]
-                    total += prod
-                row.append(Fraction(-1) ** (m - k) * total)
-            rows.append(tuple(row))
-        return TriMatrix(tuple(rows))
-    unsigned = _subset_sum_matrix(
-        sp.a, sp.e, n, lambda s, j: sp.a[s - 1] - sp.e[s - j]
-    )
-    return TriMatrix(
-        tuple(
-            tuple((-1) ** (m - k) * unsigned.rows[m][k] for k in range(m + 1))
-            for m in range(n + 1)
-        )
-    )
 
 
 def _elementary_table(values: Sequence[Fraction], n: int) -> list[list[Fraction]]:

@@ -177,11 +177,6 @@ class SignViolation:
     value: Fraction
 
 
-def inverse_sign_pattern(matrix: TriMatrix) -> Optional[SignViolation]:
-    """first_sign_violation of the inverse of a unit lower-triangular matrix."""
-    return first_sign_violation(unit_lower_inverse(matrix))
-
-
 def first_sign_violation(inv: TriMatrix) -> Optional[SignViolation]:
     """Check the alternating sign pattern of an inverse: entry (m,k) times
     (-1)^(m-k) must be >= 0.  Zero entries conform.  Returns the first

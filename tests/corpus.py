@@ -1,7 +1,8 @@
-"""Seeded random inputs for cross-route and certificate testing.
+"""Seeded random inputs for cross-route and certificate testing, and raw
+weight arrays from nested lists.
 
-Everything here is driven by an explicit random.Random instance so a fixed
-seed reproduces the exact corpus.
+Everything random here is driven by an explicit random.Random instance so a
+fixed seed reproduces the exact corpus.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from .core import SequencePair
-from .network import WeightArray
+from gstirling.core import SequencePair
+from gstirling.network import WeightArray
 
 
 def random_rational(rng: Random, lo: int = -6, hi: int = 6,
@@ -54,8 +55,13 @@ def random_dominant_pair(rng: Random, n: int) -> SequencePair:
     return SequencePair(tuple(a), tuple(e))
 
 
+def weight_array(rows) -> WeightArray:
+    """Raw weight array (no provenance) with rows 1..n as given."""
+    return WeightArray(n=len(rows), values=rows)
+
+
 def random_weight_array(rng: Random, n: int) -> WeightArray:
     """Raw triangular weight array with arbitrary-sign rational entries."""
-    return WeightArray.from_values(
+    return weight_array(
         [[random_rational(rng) for _ in range(m)] for m in range(1, n + 1)]
     )

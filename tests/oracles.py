@@ -1,8 +1,9 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles and small matrix helpers for the tests.
 
 Nothing here imports the package under test; every count is produced by
 direct enumeration so the library's algebraic routes can be checked against
-ground truth.
+ground truth.  Matrices are ragged lower-triangular rows, as in
+TriMatrix.rows; weight arrays are read only through their n and values.
 """
 
 from fractions import Fraction
@@ -220,3 +221,139 @@ def triangular_minors(rows, max_order=None):
                     sub = [[dense[r][c] for c in cs] for r in rs]
                     out.append((rs, cs, cofactor_det(sub)))
     return out
+
+
+def explicit_subset_sums(a, e):
+    """Rows of S^{a,e} by the explicit formula, enumerating subsets:
+    S(m,k) = sum over (m-k)-subsets {s_1<..<s_{m-k}} of {1..m} of
+    prod_i (a_{s_i - i + 1} - e_{s_i})."""
+    rows = []
+    for m in range(len(a) + 1):
+        row = []
+        for k in range(m + 1):
+            total = Fraction(0)
+            for sub in combinations(range(1, m + 1), m - k):
+                term = Fraction(1)
+                for i, s in enumerate(sub, start=1):
+                    term *= Fraction(a[s - i]) - Fraction(e[s - 1])
+                total += term
+            row.append(total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def identity_rows(n):
+    """Ragged rows of the (n+1) x (n+1) identity."""
+    return tuple(
+        tuple(Fraction(1 if k == m else 0) for k in range(m + 1)) for m in range(n + 1)
+    )
+
+
+def is_identity(rows):
+    return all(
+        v == (1 if m == k else 0) for m, row in enumerate(rows) for k, v in enumerate(row)
+    )
+
+
+def tri_mul(x, y):
+    """Product of two lower-triangular matrices given as ragged rows."""
+    if len(x) != len(y):
+        raise ValueError("size mismatch")
+    return tuple(
+        tuple(
+            sum((x[m][j] * y[j][k] for j in range(k, m + 1)), Fraction(0))
+            for k in range(m + 1)
+        )
+        for m in range(len(x))
+    )
+
+
+# Paths in the planar network of a weight array (anything with .n and
+# .values, values[r-1][c-1] the weight of the vertical edge [r,c]).  A path
+# s_m -> t_k climbs b_c rows in column c, for c = 1..k+1, and (b_1..b_{k+1})
+# is a composition of m-k.
+
+
+def _compositions(total, parts):
+    """All (b_1..b_parts) of non-negative integers summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _path_weight(wa, m, comp):
+    w = Fraction(1)
+    r = m
+    for c, climb in enumerate(comp, start=1):
+        for _ in range(climb):
+            w *= wa.values[r - 1][c - 1]
+            r -= 1
+    return w
+
+
+def path_nodes(m, k, comp):
+    """Every vertex a path touches: source, each (row, column) crossing, and
+    sink.  Disjointness of path families is decided on these sets."""
+    nodes = [("s", m)]
+    r = m
+    for c, climb in enumerate(comp, start=1):
+        nodes.append((r, c))
+        for _ in range(climb):
+            r -= 1
+            nodes.append((r, c))
+    nodes.append(("t", k))
+    return frozenset(nodes)
+
+
+def enumerate_paths(wa, m, k):
+    """All paths s_m -> t_k as (composition of m-k into k+1 parts, weight)."""
+    if not (0 <= m <= wa.n and 0 <= k <= wa.n):
+        raise IndexError(f"source/sink ({m},{k}) outside size {wa.n}")
+    if k > m:
+        return []
+    return [(comp, _path_weight(wa, m, comp)) for comp in _compositions(m - k, k + 1)]
+
+
+def lindstrom_minor(wa, rows, cols):
+    """Sum of weight products over vertex-disjoint path families joining
+    s_{rows[t]} -> t_{cols[t]}.  In this planar topology only the
+    order-preserving matching admits disjoint families, so by the
+    Lindstrom-Gessel-Viennot lemma the sum equals the corresponding minor
+    of the path matrix."""
+    I = tuple(rows)
+    J = tuple(cols)
+    if len(I) != len(J) or len(I) == 0:
+        raise ValueError("need equally many rows and columns, at least one each")
+    if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
+        raise ValueError("rows and columns must be strictly increasing")
+    if not all(0 <= v <= wa.n for v in I + J):
+        raise IndexError(f"indices outside size {wa.n}")
+    options = [enumerate_paths(wa, m, k) for m, k in zip(I, J)]
+    if any(len(opt) == 0 for opt in options):
+        return Fraction(0)
+    node_sets = [
+        [path_nodes(m, k, comp) for comp, _ in opts]
+        for (m, k), opts in zip(zip(I, J), options)
+    ]
+    total = Fraction(0)
+
+    def descend(t, used, weight):
+        nonlocal total
+        if t == len(I):
+            total += weight
+            return
+        for idx, (comp, w) in enumerate(options[t]):
+            nodes = node_sets[t][idx]
+            if used & nodes:
+                continue
+            descend(t + 1, used | nodes, weight * w)
+
+    descend(0, frozenset(), Fraction(1))
+    return total

@@ -19,11 +19,12 @@ from gstirling.chordal import (
     verify_peo,
 )
 from gstirling.stirling import preset, rgs_check_integer, stirling_recurrence
-from gstirling.tnn import inverse_sign_pattern, unit_lower_inverse
+from gstirling.tnn import first_sign_violation, unit_lower_inverse
 from oracles import (
     coloring_count,
     independent_partition_count,
     integer_rgs,
+    is_identity,
     rgs_graph_edges,
 )
 
@@ -117,10 +118,12 @@ class TestVerifyPeo:
 class TestFindPeo:
     def test_chordal_graphs_get_orders(self):
         for g in (PATH3, TRIANGLE, KITE, STAR_LAST, Graph.from_edges(1, [])):
-            order = find_peo(g)
-            assert order is not None
+            found = find_peo(g)
+            assert found is not None
+            order, reordered, report = found
             assert sorted(order) == list(range(1, g.n + 1))
-            assert verify_peo(g.reorder(order)).is_peo
+            assert reordered == g.reorder(order)
+            assert report == verify_peo(reordered) and report.is_peo
 
     def test_cycles_are_rejected(self):
         assert find_peo(CYCLE4) is None
@@ -128,7 +131,7 @@ class TestFindPeo:
         assert find_peo(c5) is None
 
     def test_star_center_gets_reordered(self):
-        order = find_peo(STAR_LAST)
+        order = find_peo(STAR_LAST)[0]
         # center 4 must not come last under any valid order of a star
         assert order[-1] != 4 or not verify_peo(STAR_LAST).is_peo
 
@@ -145,7 +148,7 @@ class TestGraphStirlingMatrix:
     def test_complete_graph_gives_identity(self):
         g = Graph.from_edges(4, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
         m = graph_stirling_matrix(g)
-        assert m.is_identity()
+        assert is_identity(m.rows)
 
     def test_counts_match_enumeration(self):
         for g in (PATH3, TRIANGLE, KITE, STAR_FIRST):
@@ -193,22 +196,36 @@ class TestColoring:
 
     def test_chromatic_identity(self):
         for g in (PATH3, TRIANGLE, KITE, STAR_FIRST):
-            for x in range(5):
-                assert chromatic_check(g, x)
+            assert chromatic_check(g, range(5)) == [True] * 5
 
     def test_expansion_holds_without_elimination_order(self):
         # cycle: not chordal, product form skipped, expansion still exact
-        for x in range(5):
-            assert chromatic_check(CYCLE4, x)
+        assert chromatic_check(CYCLE4, range(5)) == [True] * 5
         # chordal graph under a bad label order behaves the same way
-        for x in range(5):
-            assert chromatic_check(STAR_LAST, x)
+        assert chromatic_check(STAR_LAST, range(5)) == [True] * 5
 
     def test_caps(self):
-        with pytest.raises(ValueError):
-            chromatic_check(Graph.from_edges(11, []), 2)
-        with pytest.raises(ValueError):
-            chromatic_check(PATH3, 7)
+        with pytest.raises(ValueError, match="capped at 10 vertices"):
+            chromatic_check(Graph.from_edges(11, []), [2])
+        with pytest.raises(ValueError, match="capped at 6 colors"):
+            chromatic_check(PATH3, [1, 7])
+        assert chromatic_check(PATH3, []) == []
+
+    def test_row_and_report_taken_once_for_all_x(self, monkeypatch):
+        calls = {"graph_stirling_bruteforce": 0, "verify_peo": 0,
+                 "count_proper_colorings": 0}
+        for name in calls:
+            real = getattr(gstirling.chordal, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(gstirling.chordal, name, counted)
+        g = graph_from_rgs([0, 1, 0, 2, 1, 3])
+        assert chromatic_check(g, [1, 2, 3, 4]) == [True] * 4
+        assert calls == {"graph_stirling_bruteforce": g.n + 1, "verify_peo": 1,
+                         "count_proper_colorings": 4}
 
 
 class TestGraphFromRgs:
@@ -300,7 +317,7 @@ class TestSignedInverseCheck:
             matrix = graph_stirling_matrix(g)
             inv = unit_lower_inverse(matrix)
             assert report.peo == verify_peo(g)
-            assert report.sign_violation == inverse_sign_pattern(matrix)
+            assert report.sign_violation == first_sign_violation(inv)
             assert report.zero_inverse_entries == tuple(
                 (m, k) for m in range(inv.n + 1) for k in range(m)
                 if inv.entry(m, k) == 0

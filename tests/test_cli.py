@@ -431,7 +431,8 @@ class TestChordalCheckAllOnce:
     STEPS = ("verify_peo", "stirling_recurrence", "is_tnn_exhaustive",
              "unit_lower_inverse")
 
-    def test_each_step_runs_once(self, capsys, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = {name: 0 for name in self.STEPS}
         modules = [m for name, m in sys.modules.items()
                    if name == "gstirling" or name.startswith("gstirling.")]
@@ -445,9 +446,31 @@ class TestChordalCheckAllOnce:
             for mod in modules:
                 if vars(mod).get(name) is real:
                     monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    def test_each_step_runs_once(self, capsys, calls):
         code, payload = run_json(capsys, "chordal", "--from-rgs", "0,1,0,2,1,3",
                                  "--check-all")
         assert code == 0 and payload["checks"]["tnn_witness"] is None
+        assert calls == {name: 1 for name in self.STEPS}
+
+    def test_find_peo_verifies_and_reorders_once(self, capsys, calls, monkeypatch,
+                                                  tmp_path):
+        reorders = []
+        real = gstirling.chordal.Graph.reorder
+
+        def counted(g, order):
+            reorders.append(order)
+            return real(g, order)
+
+        monkeypatch.setattr(gstirling.chordal.Graph, "reorder", counted)
+        path = tmp_path / "star.graph"
+        path.write_text("n 4\n1 4\n2 4\n3 4\n")
+        code, payload = run_json(capsys, "chordal", "--file", str(path), "--find-peo",
+                                 "--check-all")
+        assert code == 0 and payload["found_order"] == [1, 4, 2, 3]
+        assert payload["checks"]["tnn_witness"] is None
+        assert reorders == [(1, 4, 2, 3)]
         assert calls == {name: 1 for name in self.STEPS}
 
 

@@ -1,19 +1,13 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gstirling.core import (
-    NewtonPoly,
-    SequencePair,
-    TriMatrix,
-    format_rational,
-    newton_expand,
-    parse_rational,
-    poly_eval,
-)
-from oracles import monomial_coeffs
+from gstirling.core import SequencePair, TriMatrix, format_rational, parse_rational
+from gstirling.stirling import stirling_recurrence
+from oracles import identity_rows, is_identity, monomial_coeffs, tri_mul
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -85,33 +79,35 @@ class TestTriMatrix:
             m.entry(1, 0)
 
     def test_identity_and_mul(self):
-        assert TriMatrix.identity(3).is_identity()
-        # identity(n) is (n+1) x (n+1), matching a 3-row triangle at n = 2
-        ident = TriMatrix.identity(2)
+        assert is_identity(identity_rows(3))
+        # identity_rows(n) is (n+1) x (n+1), matching a 3-row triangle at n = 2
+        ident = identity_rows(2)
         m = TriMatrix(((1,), (5, 1), (2, 3, 1)))
-        assert m.mul(ident) == m
-        assert ident.mul(m) == m
+        assert tri_mul(m.rows, ident) == m.rows
+        assert tri_mul(ident, m.rows) == m.rows
         with pytest.raises(ValueError):
-            m.mul(TriMatrix.identity(3))
+            tri_mul(m.rows, identity_rows(3))
+
+
+def newton_coeffs(roots, basis):
+    """Row len(roots) of S^{a,e} with e = roots and a = basis: the
+    coefficients of prod (x - roots[i]) in the Newton basis
+    B_k = prod_{i<k} (x - basis[i])."""
+    m = len(roots)
+    return stirling_recurrence(SequencePair(tuple(basis[:m]), tuple(roots))).rows[m]
 
 
 class TestNewtonExpand:
     def test_single_root(self):
-        p = newton_expand([Fraction(7)], [Fraction(2)])
         # x - 7 = (x - 2) + (2 - 7)
-        assert p.coeffs == (Fraction(-5), Fraction(1))
+        assert newton_coeffs([Fraction(7)], [Fraction(2)]) == (Fraction(-5), Fraction(1))
 
     def test_monomial_basis_is_plain_expansion(self):
-        p = newton_expand([1, 2, 1], [0, 0, 0])
-        assert list(p.coeffs) == monomial_coeffs([1, 2, 1])
+        assert list(newton_coeffs([1, 2, 1], [0, 0, 0])) == monomial_coeffs([1, 2, 1])
 
     def test_falling_basis_cube(self):
-        p = newton_expand([0, 0, 0], [0, 1, 2])
-        assert p.coeffs == (Fraction(0), Fraction(1), Fraction(3), Fraction(1))
-
-    def test_too_few_basis_roots(self):
-        with pytest.raises(ValueError):
-            newton_expand([1, 2], [0])
+        p = newton_coeffs([0, 0, 0], [0, 1, 2])
+        assert p == (Fraction(0), Fraction(1), Fraction(3), Fraction(1))
 
     @given(
         st.lists(rationals, max_size=5),
@@ -119,45 +115,17 @@ class TestNewtonExpand:
         rationals,
     )
     def test_expansion_evaluates_to_product(self, roots, basis, x):
-        p = newton_expand(roots, basis)
-        expect = Fraction(1)
-        for r in roots:
-            expect *= x - r
-        assert poly_eval(p, x) == expect
+        coeffs = newton_coeffs(roots, basis)
+        total = sum(c * prod(x - b for b in basis[:k]) for k, c in enumerate(coeffs))
+        assert total == prod(x - r for r in roots)
 
     @given(st.lists(rationals, min_size=1, max_size=5))
     def test_monomial_round_trip(self, roots):
         """Converting the shifted-basis coefficients back to the monomial
         basis recovers the plain expansion of the product."""
         basis = [Fraction(i) for i in range(len(roots))]
-        p = newton_expand(roots, basis)
         acc = [Fraction(0)] * (len(roots) + 1)
-        prefix = [Fraction(1)]
-        for k, c in enumerate(p.coeffs):
-            for i, pc in enumerate(prefix):
+        for k, c in enumerate(newton_coeffs(roots, basis)):
+            for i, pc in enumerate(monomial_coeffs(basis[:k])):
                 acc[i] += c * pc
-            if k < len(basis):
-                nxt = [Fraction(0)] * (len(prefix) + 1)
-                for i, pc in enumerate(prefix):
-                    nxt[i] += -basis[k] * pc
-                    nxt[i + 1] += pc
-                prefix = nxt
         assert acc == monomial_coeffs(roots)
-
-
-class TestPolyEval:
-    def test_worked_values(self):
-        p = NewtonPoly((Fraction(0), Fraction(0)), (Fraction(1), Fraction(2), Fraction(1)))
-        assert poly_eval(p, 3) == 16
-        q = NewtonPoly((0, 1, 2), (0, 1, 3, 1))
-        assert poly_eval(q, 4) == 64
-
-    @given(st.lists(rationals, min_size=1, max_size=5))
-    def test_value_at_first_basis_root_is_constant_term(self, coeffs):
-        basis = tuple(Fraction(i + 1) for i in range(len(coeffs)))
-        p = NewtonPoly(basis, tuple(coeffs))
-        assert poly_eval(p, basis[0]) == coeffs[0]
-
-    def test_coeff_count_invariant(self):
-        with pytest.raises(ValueError):
-            NewtonPoly((Fraction(0),), (1, 2, 3))

@@ -136,6 +136,8 @@ CASES = [
     _case("err_pivot_shape", "network", *SMALL, "--pivot", "1"),
     _case("err_pivot_not_int", "network", *SMALL, "--pivot", "1,x"),
     _case("err_pivot_nonzero", "network", *SMALL, "--pivot", "2,1"),
+    _case("err_pivot_outside_below", "network", "-a", "0,1", "-e", "0,1", "--pivot", "5,1"),
+    _case("err_pivot_outside_origin", "network", "-a", "0", "-e", "0", "--pivot", "0,0"),
     _case("err_certify_not_monotone", "network", "-a", "1,0", "-e", "0,0", "--certify"),
     _case("err_chordal_two_sources", "chordal", "--file", "@graph_chordal.txt", *RGS),
     _case("err_chordal_no_source", "chordal"),

@@ -8,19 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gstirling.core import SequencePair
-from gstirling.corpus import random_pair, random_rgs_pair, random_weight_array
-from gstirling.network import (
-    WeightArray,
-    _path_nodes,
-    build_initial,
-    certify,
+from gstirling.network import WeightArray, build_initial, certify, path_matrix, pivot
+from gstirling.stirling import rgs_check, sequence_pair, stirling_recurrence
+from corpus import random_pair, random_rgs_pair, random_weight_array, weight_array
+from oracles import (
+    cofactor_det,
     enumerate_paths,
     lindstrom_minor,
-    path_matrix,
-    pivot,
+    path_nodes,
+    pivot_provenance,
 )
-from gstirling.stirling import rgs_check, sequence_pair, stirling_recurrence
-from oracles import cofactor_det, pivot_provenance
 from strategies import monotone_pairs
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -61,13 +58,13 @@ class TestWeightArray:
 
 class TestPathMatrix:
     def test_worked_entry(self):
-        wa = WeightArray.from_values([[1], [2, 3], [5, 7, 1]])
+        wa = weight_array([[1], [2, 3], [5, 7, 1]])
         m = path_matrix(wa)
         # s_3 -> t_1 paths: climbs (2,0), (1,1), (0,2) in columns 1,2
         assert m.entry(3, 1) == 2 * 5 + 5 * 3 + 3 * 7 == 46
 
     def test_all_ones_gives_binomials(self):
-        wa = WeightArray.from_values([[1] * m for m in range(1, 6)])
+        wa = weight_array([[1] * m for m in range(1, 6)])
         m = path_matrix(wa)
         for i in range(6):
             for k in range(i + 1):
@@ -97,24 +94,24 @@ class TestEnumeratePaths:
         assert weight == wa.weight(2, 1) * wa.weight(1, 1)
 
     def test_count_is_binomial(self):
-        wa = WeightArray.from_values([[1] * m for m in range(1, 7)])
+        wa = weight_array([[1] * m for m in range(1, 7)])
         for m in range(7):
             for k in range(m + 1):
                 assert len(enumerate_paths(wa, m, k)) == comb(m, k)
 
     def test_sink_above_source_has_no_paths(self):
-        wa = WeightArray.from_values([[1]])
+        wa = weight_array([[1]])
         assert enumerate_paths(wa, 0, 1) == []
 
     def test_out_of_range(self):
-        wa = WeightArray.from_values([[1]])
+        wa = weight_array([[1]])
         with pytest.raises(IndexError):
             enumerate_paths(wa, 2, 0)
 
 
 class TestLindstrom:
     def test_validation(self):
-        wa = WeightArray.from_values([[1], [1, 1]])
+        wa = weight_array([[1], [1, 1]])
         with pytest.raises(ValueError):
             lindstrom_minor(wa, (0, 1), (0,))
         with pytest.raises(ValueError):
@@ -139,7 +136,7 @@ class TestLindstrom:
         """Only the order-preserving matching can be vertex-disjoint: any
         family routed along a non-identity matching has two paths meeting."""
         for n in (3, 4):
-            wa = WeightArray.from_values([[1] * m for m in range(1, n + 1)])
+            wa = weight_array([[1] * m for m in range(1, n + 1)])
             for order in (2, 3):
                 for rows in combinations(range(n + 1), order):
                     for cols in combinations(range(n + 1), order):
@@ -148,7 +145,7 @@ class TestLindstrom:
                                 continue
                             choices = [
                                 [
-                                    _path_nodes(rows[t], cols[perm[t]], comp)
+                                    path_nodes(rows[t], cols[perm[t]], comp)
                                     for comp, _ in enumerate_paths(
                                         wa, rows[t], cols[perm[t]]
                                     )
@@ -172,7 +169,7 @@ class TestLindstrom:
 
 class TestPivot:
     def test_requires_provenance(self):
-        wa = WeightArray.from_values([[0]])
+        wa = weight_array([[0]])
         with pytest.raises(ValueError):
             pivot(wa, 1, 1)
 

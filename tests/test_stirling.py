@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstirling.core import SequencePair, newton_expand
+from gstirling.core import SequencePair
 from gstirling.stirling import (
     eulerian_matrix,
     preset,
@@ -14,16 +14,20 @@ from gstirling.stirling import (
     rgs_check_integer,
     sequence_pair,
     stirling_explicit,
-    stirling_inverse_explicit,
     stirling_recurrence,
     stirling_symmetric,
 )
+from gstirling.tnn import unit_lower_inverse
 from oracles import (
     ascent_counts,
     cycle_counts,
+    explicit_subset_sums,
+    is_identity,
     lah_counts,
+    monomial_coeffs,
     partition_counts,
     subset_count,
+    tri_mul,
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
@@ -97,16 +101,20 @@ class TestConstructionRoutes:
 
     @given(pairs(max_n=5))
     def test_naive_subset_enumeration_agrees(self, sp):
-        assert stirling_explicit(sp, naive=True) == stirling_explicit(sp)
+        assert stirling_explicit(sp).rows == explicit_subset_sums(sp.a, sp.e)
 
     @given(pairs())
     def test_rows_are_basis_expansions(self, sp):
         """Row m holds the coefficients of prod_{i<=m}(x - e_i) in the
-        shifted basis, which is the defining relation."""
+        shifted basis, which is the defining relation: both sides agree
+        coefficient by coefficient in the monomial basis."""
         m = stirling_recurrence(sp)
         for row in range(sp.n + 1):
-            expanded = newton_expand(sp.e[:row], sp.a)
-            assert m.rows[row] == expanded.coeffs
+            lhs = [Fraction(0)] * (row + 1)
+            for k, c in enumerate(m.rows[row]):
+                for i, pc in enumerate(monomial_coeffs(sp.a[:k])):
+                    lhs[i] += c * pc
+            assert lhs == monomial_coeffs(sp.e[:row])
 
     @given(pairs())
     def test_column_zero_product(self, sp):
@@ -143,21 +151,16 @@ class TestConstructionRoutes:
 class TestInverse:
     @given(pairs())
     def test_product_is_identity_both_ways(self, sp):
-        m = stirling_recurrence(sp)
-        inv = stirling_inverse_explicit(sp)
-        assert m.mul(inv).is_identity()
-        assert inv.mul(m).is_identity()
-
-    @given(pairs(max_n=5))
-    def test_naive_agrees(self, sp):
-        assert stirling_inverse_explicit(sp, naive=True) == stirling_inverse_explicit(sp)
+        m = stirling_recurrence(sp).rows
+        inv = stirling_recurrence(SequencePair(sp.e, sp.a)).rows
+        assert is_identity(tri_mul(m, inv))
+        assert is_identity(tri_mul(inv, m))
 
     @given(pairs())
     def test_inverse_is_swapped_pair_matrix(self, sp):
-        """The signed inverse of S^{a,e} is exactly S^{e,a}: the explicit
-        signed formula already absorbs the (-1)^(m-k)."""
+        """The inverse of S^{a,e} is exactly S^{e,a}, signs included."""
         swapped = SequencePair(sp.e, sp.a)
-        assert stirling_inverse_explicit(sp) == stirling_recurrence(swapped)
+        assert unit_lower_inverse(stirling_recurrence(sp)) == stirling_recurrence(swapped)
 
 
 class TestPresets:
@@ -198,13 +201,14 @@ class TestPresets:
 
     def test_stirling_kinds_are_mutually_inverse(self):
         n = 7
-        second = stirling_recurrence(preset("stirling2", n))
-        inv = stirling_inverse_explicit(preset("stirling2", n))
+        sp = preset("stirling2", n)
+        second = stirling_recurrence(sp)
+        inv = stirling_recurrence(SequencePair(sp.e, sp.a))
         first = stirling_recurrence(preset("stirling1", n))
         for m in range(n + 1):
             for k in range(m + 1):
                 assert abs(inv.entry(m, k)) == first.entry(m, k)
-        assert second.mul(inv).is_identity()
+        assert is_identity(tri_mul(second.rows, inv.rows))
 
 
 class TestEulerian:

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import prod
 from typing import Collection, Optional, Sequence
 
-from .core import SequencePair, TriMatrix
+from .core import SequencePair, TriMatrix, parse_int_token
 from .stirling import rgs_check_integer, stirling_recurrence
 from .tnn import (
     MinorWitness,
@@ -80,10 +80,11 @@ class Graph:
         )
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, source: Optional[str] = None) -> Graph:
     """Graph file format: a header line ``n <count>``, then one ``u v`` edge
     per line, 1-based labels; ``#`` starts a comment.  The label order is the
-    candidate elimination order."""
+    candidate elimination order.  A token that is not an integer is
+    reported with its line and source, the path of the file, when given."""
     n = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,13 +95,14 @@ def parse_graph(text: str) -> Graph:
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
                 raise ValueError(f"line {lineno}: expected header 'n <count>'")
-            n = int(parts[1])
+            n = parse_int_token(parts[1], lineno, source)
             if n < 0:
                 raise ValueError(f"line {lineno}: negative vertex count")
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((parse_int_token(parts[0], lineno, source),
+                      parse_int_token(parts[1], lineno, source)))
     if n is None:
         raise ValueError("missing header line 'n <count>'")
     return Graph.from_edges(n, edges)

@@ -27,7 +27,7 @@ from .chordal import (
     peo_stirling_matrix,
     verify_peo,
 )
-from .core import SequencePair, format_rational, parse_rational
+from .core import SequencePair, digit_limit, format_matrix, format_rational, parse_rational
 from .network import WeightArray, build_initial, certify, path_matrix, pivot
 from .rook import FerrersBoard, board_pair, gjw_check, parse_board, rook_matrix
 from .stirling import (
@@ -38,7 +38,7 @@ from .stirling import (
     stirling_recurrence,
     stirling_symmetric,
 )
-from .tnn import decide_tnn, is_tnn_exhaustive, iter_minors
+from .tnn import check_scan_budget, decide_tnn, is_tnn_exhaustive, iter_minors
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,15 +58,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _rational(tok: str, where: str) -> Fraction:
+    """parse_rational, with errors naming the entry: where is the flag or
+    path and the entry index."""
+    try:
+        return parse_rational(tok)
+    except ValueError:
+        raise ValueError(f"{where} ({tok!r}) is not a rational") from None
+    except OverflowError:
+        raise ValueError(
+            f"{where} has more than {digit_limit()} digits, the most that "
+            "renders as text"
+        ) from None
+
+
 def _parse_seq(text: str, flag: str) -> tuple[Fraction, ...]:
-    out = []
-    for idx, tok in enumerate(text.split(","), start=1):
-        tok = tok.strip()
-        try:
-            out.append(parse_rational(tok))
-        except ValueError:
-            raise ValueError(f"{flag}: entry {idx} ({tok!r}) is not a rational")
-    return tuple(out)
+    return tuple(_rational(tok.strip(), f"{flag}: entry {idx}")
+                 for idx, tok in enumerate(text.split(","), start=1))
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -79,20 +87,39 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _read_text(path: str) -> str:
+    """The file as UTF-8 text with universal newlines; a byte that is not
+    UTF-8 is reported with the path and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _newlines(data[:exc.start].decode("utf-8")).count("\n") + 1
+        raise ValueError(
+            f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
+        ) from None
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_pair_file(path: str) -> SequencePair:
     """Two content lines: the a-sequence then the e-sequence, entries comma
     or space separated; '#' starts a comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = []
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                lines.append(line)
+    lines = []
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
     if len(lines) != 2:
         raise ValueError(f"{path}: expected two content lines (a then e), got {len(lines)}")
     vals = [
-        tuple(parse_rational(tok) for tok in line.replace(",", " ").split())
-        for line in lines
+        tuple(_rational(tok, f"{path}: line {lineno}: entry {idx}")
+              for idx, tok in enumerate(line.replace(",", " ").split(), start=1))
+        for lineno, line in lines
     ]
     return SequencePair(vals[0], vals[1])
 
@@ -126,8 +153,7 @@ def _resolve_graph(args: argparse.Namespace) -> Graph:
         raise ValueError("provide exactly one of: --file, --from-rgs")
     if rgs is not None:
         return graph_from_rgs(rgs)
-    with open(args.graph_file, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(_read_text(args.graph_file), source=args.graph_file)
 
 
 def _resolve_board(args: argparse.Namespace) -> FerrersBoard:
@@ -137,15 +163,27 @@ def _resolve_board(args: argparse.Namespace) -> FerrersBoard:
         raise ValueError("provide exactly one of: -b, --file")
     if heights is not None:
         return FerrersBoard(heights)
-    with open(args.board_file, "r", encoding="utf-8") as fh:
-        return parse_board(fh.read())
+    return parse_board(_read_text(args.board_file), source=args.board_file)
 
 
 # ---------------------------------------------------------------- rendering
 
 def _grid(rows) -> list[list[str]]:
-    """Matrix rows or weight-array rows, each value formatted once."""
-    return [[format_rational(v) for v in row] for row in rows]
+    """Weight-array rows (or the a and e sequences), each value formatted
+    once; a value too long to render is named by its [m,k] position."""
+    try:
+        return [[format_rational(v) for v in row] for row in rows]
+    except ValueError:
+        for m, row in enumerate(rows, 1):
+            for k, v in enumerate(row, 1):
+                try:
+                    format_rational(v)
+                except ValueError:
+                    raise ValueError(
+                        f"rendering the weights: weight at [{m},{k}] has more "
+                        f"than {digit_limit()} digits"
+                    ) from None
+        raise
 
 
 def _pair_fields(sp: SequencePair) -> tuple[dict, list[str]]:
@@ -222,7 +260,7 @@ def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
             )
         verified = list(builders)
     fields, header = _pair_fields(sp)
-    grid = _grid(matrix.rows)
+    grid = format_matrix(matrix)
     payload = {"command": "matrix", "n": sp.n, **fields, "method": args.method,
                "verified": verified, "matrix": grid}
     table = [*header, f"S matrix ({args.method}):", *_aligned(grid)]
@@ -263,7 +301,7 @@ def _run_check(args: argparse.Namespace) -> tuple[str, int]:
         if minor is not None:
             table.append(f"negative minor: rows {minor['rows']} cols {minor['cols']} "
                          f"value {minor['value']}")
-        grid = _grid(matrix.rows) if args.format == "csv" else ()
+        grid = format_matrix(matrix) if args.format == "csv" else ()
         return _emit(args, payload, table, grid), EXIT_OK if is_tnn else EXIT_WITNESS
 
     verdict = decide_tnn(sp)
@@ -309,7 +347,7 @@ def _run_check(args: argparse.Namespace) -> tuple[str, int]:
         )
     if exhaustive_block is not None:
         table.append("exhaustive minor scan agrees")
-    grid = _grid(matrix.rows) if args.format == "csv" else ()
+    grid = format_matrix(matrix) if args.format == "csv" else ()
     return _emit(args, payload, table, grid), EXIT_OK if verdict.is_tnn else EXIT_WITNESS
 
 
@@ -391,7 +429,7 @@ def _run_chordal(args: argparse.Namespace) -> tuple[str, int]:
         )
         return _emit(args, payload, table), EXIT_WITNESS
     matrix = peo_stirling_matrix(report)
-    grid = _grid(matrix.rows)
+    grid = format_matrix(matrix)
     payload["matrix"] = grid
     table += ["order verified: perfect elimination order", "graph Stirling matrix:",
               *_aligned(grid)]
@@ -437,7 +475,7 @@ def _run_rook(args: argparse.Namespace) -> tuple[str, int]:
     board = _resolve_board(args)
     matrix = rook_matrix(board)
     fields, header = _pair_fields(board_pair(board))
-    grid = _grid(matrix.rows)
+    grid = format_matrix(matrix)
     payload = {"command": "rook", "heights": list(board.heights), **fields,
                "matrix": grid, "gjw": None, "tnn": None}
     table = [
@@ -466,6 +504,8 @@ def _run_rook(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _run_eulerian(args: argparse.Namespace) -> tuple[str, int]:
+    if args.n >= 0:  # a negative n is eulerian_matrix's error
+        check_scan_budget(args.n + 1, args.max_minor_order)
     matrix = eulerian_matrix(args.n)
     checked = 0
     witness = None
@@ -475,7 +515,7 @@ def _run_eulerian(args: argparse.Namespace) -> tuple[str, int]:
             witness = {"rows": list(rows), "cols": list(cols),
                        "value": format_rational(value)}
             break
-    grid = _grid(matrix.rows)
+    grid = format_matrix(matrix)
     payload = {"command": "eulerian", "n": args.n, "matrix": grid,
                "minors_checked": checked, "witness": witness}
     table = [f"Eulerian triangle up to n = {args.n}:", *_aligned(grid),

@@ -1,35 +1,71 @@
 """Exact-arithmetic building blocks: rationals, sequence pairs and
 lower-triangular matrices.
 
-All numeric work in this package runs over `fractions.Fraction`.  The helpers
-here own the text serialization contract: a rational renders as a decimal
-string exactly when its lowest-terms denominator is a power of ten, and as
-``p/q`` otherwise, so ``Fraction(3, 10)`` prints ``0.3`` while
-``Fraction(1, 2)`` prints ``1/2``.
+Sequences and weights are `fractions.Fraction`.  A matrix is int rows plus
+one scale (see TriMatrix): the routes that build S^{a,e} run on ints and
+matrices render straight from them, so a Fraction is made only where a
+caller asks for an entry's value.  The helpers here own the text
+serialization contract: a rational renders as a decimal string exactly when
+its lowest-terms denominator is a power of ten, and as ``p/q`` otherwise, so
+``Fraction(3, 10)`` prints ``0.3`` while ``Fraction(1, 2)`` prints ``1/2``.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
+# the digits of a decimal literal's exponent, as in 1e-3
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)$")
+
+
+def digit_limit() -> int:
+    """The most digits the interpreter converts between int and text
+    (sys.get_int_max_str_digits); 0 means no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(x: int, limit: int) -> bool:
+    """Whether |x| has more than limit > 0 digits."""
+    x = abs(x)
+    # 10**limit has more than 3 * limit bits, so shorter ints pass at once
+    return x.bit_length() > 3 * limit and x >= 10 ** limit
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``3``, ``-0.25``, or ``p/q`` into an exact Fraction."""
+    """Parse ``3``, ``-0.25``, ``1e-3`` or ``p/q`` into an exact Fraction.
+
+    Raises ValueError for text that is not a rational, and OverflowError for
+    one that would not render back as text: a run of more than digit_limit()
+    digits, an exponent beyond that many, or a numerator or denominator
+    with more digits.  The text is checked before the value is built, so
+    ``1e999999999`` is refused at once."""
+    text = text.strip()
+    limit = digit_limit()
+    if limit:
+        digits = text.replace("_", "")
+        exp = _EXPONENT.search(digits)
+        if ((len(digits) > limit and re.search(rf"\d{{{limit + 1}}}", digits))
+                or (exp is not None and int(exp.group(1)) > limit)):
+            raise OverflowError(f"more than {limit} digits: {text!r}")
     try:
-        return Fraction(text.strip())
+        q = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+    if limit and (_too_long(q.numerator, limit) or _too_long(q.denominator, limit)):
+        raise OverflowError(f"more than {limit} digits: {text!r}")
+    return q
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as decimal text when the reduced denominator is a
-    power of ten, else as ``p/q``."""
-    num, den = q.numerator, q.denominator
+def _format(num: int, den: int) -> str:
+    """format_rational of num/den, given in lowest terms with den > 0."""
     if den == 1:
         return str(num)
     d, k = den, 0
@@ -43,11 +79,39 @@ def format_rational(q: Fraction) -> str:
     return f"{sign}{mag // den}.{mag % den:0{k}d}"
 
 
+def format_rational(q: Fraction) -> str:
+    """Render a Fraction as decimal text when the reduced denominator is a
+    power of ten, else as ``p/q``."""
+    return _format(q.numerator, q.denominator)
+
+
+def _scaled_text(v: int, den: int) -> str:
+    """format_rational of v/den for den > 0, with one gcd and no Fraction."""
+    g = gcd(v, den)
+    return _format(v // g, den // g)
+
+
+def parse_int_token(tok: str, lineno: int, source: Optional[str] = None) -> int:
+    """int(tok) for a token on line lineno of a text input; an error names
+    the line, and the source (a file's path) when given."""
+    try:
+        return int(tok)
+    except ValueError:
+        where = f"line {lineno}" if source is None else f"{source}: line {lineno}"
+        raise ValueError(f"{where}: {tok!r} is not an integer") from None
+
+
 def _coerce(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     out = []
     for v in values:
         out.append(parse_rational(v) if isinstance(v, str) else Fraction(v))
     return tuple(out)
+
+
+def _scale_to_ints(values: Sequence[Fraction], scale: int) -> list[int]:
+    """scale * v for each v, as ints; scale is a multiple of every
+    denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -74,26 +138,126 @@ class SequencePair:
     def n(self) -> int:
         return len(self.a)
 
+    def scaled(self) -> tuple[list[int], list[int], int]:
+        """(L*a, L*e, L) as ints, for L the lcm of every denominator in a
+        and e.  Entry (m,k) of S^{a,e} is homogeneous of degree m-k in
+        (a,e), so S^{La,Le}(m,k) = L^(m-k) S^{a,e}(m,k)."""
+        scale = lcm(1, *(v.denominator for v in self.a + self.e))
+        return _scale_to_ints(self.a, scale), _scale_to_ints(self.e, scale), scale
 
-@dataclass(frozen=True)
+
 class TriMatrix:
-    """Lower-triangular square matrix stored as ragged rows; row m holds the
-    m+1 entries (m,0)..(m,m).  Entries above the diagonal read as 0."""
+    """Lower-triangular square matrix of rationals held as int rows plus
+    one scale: row m holds the m+1 ints for (m,0)..(m,m), and entry (m,k)
+    is ints[m][k] / (den * scale**(m-k)).  Entries above the diagonal read
+    as 0.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    The library's constructions fill ints on an integer input scaled by L
+    and set scale = L, den = 1 (see SequencePair.scaled; a path s_m -> t_k
+    climbs m-k edges, so the grading holds for path matrices too).  A
+    matrix given as rationals, TriMatrix(rows), gets scale 1 and den the lcm
+    of its denominators.  Values are read with entry() and the rows view;
+    equality and hashing compare values, so matrices of one value built on
+    different scales are equal."""
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.rows)
-        for m, row in enumerate(rows):
+    __slots__ = ("ints", "scale", "den", "_rows")
+
+    def __init__(self, rows: Iterable[Iterable[RationalLike]]) -> None:
+        rows = [_coerce(row) for row in rows]
+        den = lcm(1, *(v.denominator for row in rows for v in row))
+        self._set([_scale_to_ints(row, den) for row in rows], 1, den)
+
+    @classmethod
+    def scaled(cls, ints: Sequence[Sequence[int]], scale: int = 1) -> "TriMatrix":
+        """The matrix with entry (m,k) = ints[m][k] / scale**(m-k)."""
+        matrix = cls.__new__(cls)
+        matrix._set(ints, scale, 1)
+        return matrix
+
+    def _set(self, ints: Sequence[Sequence[int]], scale: int, den: int) -> None:
+        ints = tuple(map(tuple, ints))
+        for m, row in enumerate(ints):
             if len(row) != m + 1:
                 raise ValueError(f"row {m} has {len(row)} entries, expected {m + 1}")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_rows", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"TriMatrix is immutable; cannot set {name!r}")
 
     @property
     def n(self) -> int:
-        return len(self.rows) - 1
+        return len(self.ints) - 1
+
+    def denominators(self) -> list[int]:
+        """den * scale**d for d = 0..n: entry (m,k) is ints[m][k] over the
+        (m-k)-th."""
+        out = [self.den]
+        for _ in range(self.n):
+            out.append(out[-1] * self.scale)
+        return out
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, row by row, built on first use."""
+        if self._rows is None:
+            dens = self.denominators()
+            object.__setattr__(self, "_rows", tuple(
+                tuple(map(Fraction, row, dens[m::-1]))
+                for m, row in enumerate(self.ints)
+            ))
+        return self._rows
 
     def entry(self, m: int, k: int) -> Fraction:
         if not (0 <= m <= self.n and 0 <= k <= self.n):
             raise IndexError(f"entry ({m},{k}) outside size {self.n}")
-        return self.rows[m][k] if k <= m else Fraction(0)
+        if k > m:
+            return Fraction(0)
+        return Fraction(self.ints[m][k], self.den * self.scale ** (m - k))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TriMatrix):
+            return NotImplemented
+        if len(self.ints) != len(other.ints):
+            return False
+        if (self.scale, self.den) == (other.scale, other.den):
+            return self.ints == other.ints
+        mine, theirs = self.denominators(), other.denominators()
+        return all(
+            x * theirs[m - k] == y * mine[m - k]
+            for m, (r, s) in enumerate(zip(self.ints, other.ints))
+            for k, (x, y) in enumerate(zip(r, s))
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"TriMatrix(rows={self.rows!r})"
+
+
+def format_matrix(matrix: TriMatrix) -> list[list[str]]:
+    """The entries (m,0)..(m,m) of each row m as format_rational text,
+    rendered from the ints with one gcd per entry.  An entry with more
+    digits than digit_limit() raises ValueError naming (m,k)."""
+    dens = matrix.denominators()
+    integral = dens[-1] == 1  # den = 1 and, unless n = 0, scale = 1
+    out = []
+    for m, row in enumerate(matrix.ints):
+        # dens[m::-1] lists the denominators of (m,0)..(m,m)
+        try:
+            out.append(list(map(str, row)) if integral
+                       else list(map(_scaled_text, row, dens[m::-1])))
+        except ValueError:
+            for k, (v, den) in enumerate(zip(row, dens[m::-1])):
+                try:
+                    _scaled_text(v, den)
+                except ValueError:
+                    raise ValueError(
+                        f"rendering the matrix: entry ({m},{k}) has more than "
+                        f"{digit_limit()} digits"
+                    ) from None
+            raise
+    return out

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .core import SequencePair, TriMatrix
+from .core import SequencePair, TriMatrix, _scale_to_ints
 
 
 @dataclass(frozen=True)
@@ -88,23 +89,26 @@ def build_initial(sp: SequencePair) -> WeightArray:
 
 def path_matrix(wa: WeightArray) -> TriMatrix:
     """Sum path weights s_m -> t_k for all (m,k) by one column sweep per
-    source.
+    source, on the weights times L, their common denominator, as ints; a
+    path s_m -> t_k climbs m-k edges, so the sums are L^(m-k) M(m,k).
 
     acc[r] accumulates the weight of partial paths currently at row r <= m,
     since paths only climb.  Column c is processed by climbing in place,
     acc[r] += w[r+1,c] * acc[r+1] for r = m-1 down to c-1, after which
     acc[c-1] is final and equals M(m, c-1); at the end acc is row m.
     """
-    rows: list[list[Fraction]] = []
+    scale = lcm(1, *(v.denominator for row in wa.values for v in row))
+    weights = [_scale_to_ints(row, scale) for row in wa.values]
+    rows: list[list[int]] = []
     for m in range(wa.n + 1):
-        acc = [Fraction(0)] * m + [Fraction(1)]
+        acc = [0] * m + [1]
         for c in range(1, m + 1):
             for r in range(m - 1, c - 2, -1):
-                w = wa.values[r][c - 1]
-                if w != 0 and acc[r + 1] != 0:
+                w = weights[r][c - 1]
+                if w and acc[r + 1]:
                     acc[r] += w * acc[r + 1]
         rows.append(acc)
-    return TriMatrix(tuple(tuple(r) for r in rows))
+    return TriMatrix.scaled(rows, scale)
 
 
 def _rotate_e_indices(e_rows: list[list[int]], m: int, k: int) -> None:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .core import SequencePair, TriMatrix
+from .core import SequencePair, TriMatrix, parse_int_token
 from .stirling import stirling_recurrence
 
 _BRUTEFORCE_CAP = 10
@@ -43,15 +43,15 @@ class FerrersBoard:
         return len(self.heights)
 
 
-def parse_board(text: str) -> FerrersBoard:
-    """Heights comma-separated or one per line; '#' starts a comment."""
+def parse_board(text: str, source: Optional[str] = None) -> FerrersBoard:
+    """Heights comma-separated or one per line; '#' starts a comment.  A
+    token that is not an integer is reported with its line and source, the
+    path of the file, when given."""
     items: list[int] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
         for tok in line.replace(",", " ").split():
-            items.append(int(tok))
+            items.append(parse_int_token(tok, lineno, source))
     return FerrersBoard(tuple(items))
 
 

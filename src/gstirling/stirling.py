@@ -5,15 +5,19 @@ For sequences a = (a_1..a_n), e = (e_1..e_n) the matrix S^{a,e} is the
 
     prod_{i<=m} (x - e_i) = sum_k S(m,k) * prod_{i<=k} (x - a_i).
 
-Three independent constructions live here (recurrence, explicit subset sum,
-symmetric-function formula); the fourth (planar-network path matrix) lives in
-the network module.
+Three constructions live here: the recurrence, the explicit subset sum
+(the recurrence under the index change T[s][s-k] = S(s,k), so not an
+independent check of it) and the symmetric-function formula; the planar
+network path matrix lives in the network module.  All run on the integer
+pair (La, Le) for L the common denominator (SequencePair.scaled), since
+S(m,k) is homogeneous of degree m-k, and return TriMatrix.scaled(ints, L).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .core import RationalLike, SequencePair, TriMatrix, _coerce
@@ -80,83 +84,87 @@ def rgs_check_integer(e: Sequence[int]) -> bool:
 
 def stirling_recurrence(sp: SequencePair) -> TriMatrix:
     """Fill the triangle by S(m,k) = S(m-1,k-1) + (a_{k+1} - e_m) S(m-1,k),
-    with S(0,0) = 1, S(m,m) = 1, and S(m,0) = prod_{i<=m}(a_1 - e_i)."""
-    n = sp.n
-    rows: list[list[Fraction]] = [[Fraction(1)]]
-    for m in range(1, n + 1):
-        prev = rows[m - 1]
-        row = [prev[0] * (sp.a[0] - sp.e[m - 1])]
-        for k in range(1, m):
-            row.append(prev[k - 1] + (sp.a[k] - sp.e[m - 1]) * prev[k])
-        row.append(Fraction(1))
+    with S(0,0) = 1, S(m,m) = 1, and S(m,0) = prod_{i<=m}(a_1 - e_i), on
+    the integer pair (La, Le) of SequencePair.scaled."""
+    a, e, scale = sp.scaled()
+    rows: list[list[int]] = [[1]]
+    for em in e:
+        prev = rows[-1]
+        row = [(a[0] - em) * prev[0]]
+        row += [x + (ak - em) * y for ak, x, y in zip(a[1:], prev, prev[1:])]
+        row.append(1)
         rows.append(row)
-    return TriMatrix(tuple(tuple(r) for r in rows))
+    return TriMatrix.scaled(rows, scale)
 
 
 def stirling_explicit(sp: SequencePair) -> TriMatrix:
     """Explicit formula S(m,k) = sum over (m-k)-subsets {s_1<..<s_{m-k}} of
-    {1..m} of prod_i (a_{s_i - i + 1} - e_{s_i}), by dynamic programming.
+    {1..m} of prod_i (a_{s_i - i + 1} - e_{s_i}), by dynamic programming on
+    the integer pair (La, Le) of SequencePair.scaled.
 
     Scanning s = 1..n and letting T[s][j] sum the subsets {s_1<..<s_j} of
     {1..s} gives T[s][j] = T[s-1][j] + (a_{s-j+1} - e_s) T[s-1][j-1], the
     factor being the weight of s as the j-th chosen element; row s of the
-    matrix is T[s] read backwards.
+    matrix is T[s] read backwards.  Under T[s][s-k] = S(s,k) this update is
+    the recurrence term by term, so this route is the recurrence in another
+    index order, not an independent check of it.
     """
-    rows: list[list[Fraction]] = [[Fraction(1)]]
-    table = [Fraction(1)]
+    a, e, scale = sp.scaled()
+    rows: list[list[int]] = [[1]]
+    table = [1]
     for s in range(1, sp.n + 1):
-        nxt = [Fraction(0)] * (s + 1)
-        nxt[0] = Fraction(1)
-        for j in range(1, s + 1):
-            nxt[j] = ((table[j] if j < s else Fraction(0))
-                      + (sp.a[s - j] - sp.e[s - 1]) * table[j - 1])
+        es = e[s - 1]
+        nxt = [1] + [x + (a[s - j] - es) * y
+                     for j, x, y in zip(range(1, s), table[1:], table)]
+        nxt.append((a[0] - es) * table[s - 1])
         table = nxt
-        rows.append([table[s - k] for k in range(s + 1)])
-    return TriMatrix(tuple(tuple(r) for r in rows))
+        rows.append(table[::-1])
+    return TriMatrix.scaled(rows, scale)
 
 
-def _elementary_table(values: Sequence[Fraction], n: int) -> list[list[Fraction]]:
-    """E[t][d] = elementary symmetric s_d(values[0..t-1])."""
-    table = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for t in range(n + 1):
-        table[t][0] = Fraction(1)
-    for t in range(1, n + 1):
-        for d in range(1, t + 1):
-            table[t][d] = table[t - 1][d] + values[t - 1] * table[t - 1][d - 1]
+def _elementary_table(values: Sequence[int]) -> list[list[int]]:
+    """E[t][d] = elementary symmetric s_d(values[0..t-1]) for d <= t."""
+    table = [[1]]
+    for v in values:
+        prev = table[-1]
+        row = [1] + [x + v * y for x, y in zip(prev[1:], prev)]
+        row.append(v * prev[-1])
+        table.append(row)
     return table
 
 
-def _homogeneous_table(values: Sequence[Fraction], n: int) -> list[list[Fraction]]:
-    """H[t][d] = complete homogeneous h_d(values[0..t-1]); h_d of zero
-    variables is 0 for d > 0."""
-    table = [[Fraction(0)] * (n + 1) for _ in range(len(values) + 1)]
-    table[0][0] = Fraction(1)
-    for t in range(1, len(values) + 1):
-        table[t][0] = Fraction(1)
+def _homogeneous_table(values: Sequence[int], n: int) -> list[list[int]]:
+    """H[t][d] = complete homogeneous h_d(values[0..t-1]) for d <= n; h_d of
+    zero variables is 0 for d > 0."""
+    table = [[1] + [0] * n]
+    for v in values:
+        prev = table[-1]
+        row = [1]
         for d in range(1, n + 1):
-            table[t][d] = table[t - 1][d] + values[t - 1] * table[t][d - 1]
+            row.append(prev[d] + v * row[d - 1])
+        table.append(row)
     return table
 
 
 def stirling_symmetric(sp: SequencePair) -> TriMatrix:
     """Symmetric-function route:
-    S(m,k) = sum_l (-1)^l h_{m-k-l}(a_1..a_{k+1}) s_l(e_1..e_m)."""
+    S(m,k) = sum_l (-1)^l h_{m-k-l}(a_1..a_{k+1}) s_l(e_1..e_m), on the
+    integer pair (La, Le) of SequencePair.scaled, where h_d and s_l scale by
+    L^d and L^l."""
+    a, e, scale = sp.scaled()
     n = sp.n
-    hom = _homogeneous_table(sp.a, n)
-    elem = _elementary_table(sp.e, n)
+    hom = _homogeneous_table(a, n)
+    elem = _elementary_table(e)
     rows = []
     for m in range(n + 1):
+        signed = [-v if l % 2 else v for l, v in enumerate(elem[m])]
         row = []
-        for k in range(m + 1):
-            total = Fraction(0)
-            for l in range(m - k + 1):
-                d = m - k - l
-                # h_0 = 1 regardless of variable count; d >= 1 forces k+1 <= n.
-                h = Fraction(1) if d == 0 else hom[k + 1][d]
-                total += (-1) ** l * h * elem[m][l]
-            row.append(total)
-        rows.append(tuple(row))
-    return TriMatrix(tuple(rows))
+        for k in range(m):
+            # h_0..h_{m-k} of a_1..a_{k+1} against s_{m-k}..s_0 of e_1..e_m
+            row.append(sum(map(mul, hom[k + 1][:m - k + 1], signed[m - k::-1])))
+        row.append(1)  # h_0 s_0
+        rows.append(row)
+    return TriMatrix.scaled(rows, scale)
 
 
 _PRESETS = {
@@ -190,19 +198,12 @@ def eulerian_matrix(n: int) -> TriMatrix:
     for k >= m when m >= 1."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    rows: list[list[Fraction]] = [[Fraction(1)]]
+    rows: list[list[int]] = [[1]]
     for m in range(1, n + 1):
-        prev = rows[m - 1]
-
-        def at(k: int) -> Fraction:
-            if k < 0 or k > m - 1:
-                return Fraction(0)
-            return prev[k]
-
-        row = [(m - k) * at(k - 1) + (k + 1) * at(k) for k in range(m)]
-        row.append(Fraction(0))
-        rows.append(row)
-    return TriMatrix(tuple(tuple(r) for r in rows))
+        # row m-1 behind a 0 for k = -1: at[k] = A(m-1,k-1), at[k+1] = A(m-1,k)
+        at = [0, *rows[-1]]
+        rows.append([(m - k) * at[k] + (k + 1) * at[k + 1] for k in range(m)] + [0])
+    return TriMatrix.scaled(rows)
 
 
 def sequence_pair(

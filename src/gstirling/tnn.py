@@ -22,12 +22,14 @@ from itertools import combinations
 from math import comb, lcm, prod
 from typing import Iterator, Optional, Sequence
 
-from .core import SequencePair, TriMatrix
+from .core import SequencePair, TriMatrix, _scale_to_ints
 from .network import PivotTrace, certify
 from .stirling import RgsReport, rgs_check, stirling_recurrence
 
 # largest minor scan iter_minors starts
 MAX_MINORS = 1_000_000
+# largest matrix size whose budget message gives the exact minor count
+_EXACT_COUNT_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def _bareiss(mat: list[list[int]]) -> int:
 def _scaled_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
     """The row times D, the lcm of its denominators, as ints, and D."""
     mult = lcm(*(v.denominator for v in row))
-    return [v.numerator * (mult // v.denominator) for v in row], mult
+    return _scale_to_ints(row, mult), mult
 
 
 def det_exact(rows: list[list[Fraction]]) -> Fraction:
@@ -85,8 +87,35 @@ def minor_count(size: int, max_order: Optional[int] = None) -> int:
     Narayana number N(size+1, k+1) of order k, summed over the orders; a
     full scan yields the Catalan number C(size+1) minus 1."""
     top = size if max_order is None else min(max_order, size)
+    if top == size:
+        return comb(2 * size + 2, size + 1) // (size + 2) - 1
     return sum(comb(size + 1, k) * comb(size + 1, k + 1)
                for k in range(1, top + 1)) // (size + 1)
+
+
+def check_scan_budget(size: int, max_order: Optional[int] = None) -> None:
+    """Raise ValueError, naming the budget, when iter_minors on a size x
+    size matrix would visit more than MAX_MINORS minors, so that a caller
+    can refuse before building the matrix.
+
+    The orders are counted from 1 up, and counting stops once the sum
+    passes the budget: after a few orders at any size.  The message gives
+    the exact count (minor_count) when size <= _EXACT_COUNT_SIZE, and the
+    partial sum as a lower bound above that, where the exact count can
+    take seconds."""
+    if max_order is not None and max_order < 1:
+        raise ValueError("max_order must be at least 1")
+    top = size if max_order is None else min(max_order, size)
+    count = 0
+    for k in range(1, top + 1):
+        count += comb(size + 1, k) * comb(size + 1, k + 1) // (size + 1)
+        if count > MAX_MINORS:
+            what = (minor_count(size, max_order) if size <= _EXACT_COUNT_SIZE
+                    else f"at least {count}")
+            raise ValueError(
+                f"a scan of {what} minors exceeds the budget of {MAX_MINORS}; "
+                "limit the minor order (--max-minor-order)"
+            )
 
 
 def _admissible_cols(
@@ -113,17 +142,11 @@ def iter_minors(
     other minor of a lower-triangular matrix vanishes identically.  Each
     row m is scaled once by D_m, the lcm of its denominators, so every
     minor is an integer Bareiss determinant divided by the product of D_m
-    over its rows.  A scan of more than MAX_MINORS minors (see minor_count)
-    raises ValueError before the first one is yielded."""
-    if max_order is not None and max_order < 1:
-        raise ValueError("max_order must be at least 1")
+    over its rows.  A scan of more than MAX_MINORS minors (see
+    check_scan_budget) raises ValueError before the first one is
+    yielded."""
     size = matrix.n + 1
-    count = minor_count(size, max_order)
-    if count > MAX_MINORS:
-        raise ValueError(
-            f"a scan of {count} minors exceeds the budget of {MAX_MINORS}; "
-            "limit the minor order (--max-minor-order)"
-        )
+    check_scan_budget(size, max_order)
     scaled = [_scaled_row(row) for row in matrix.rows]
     ints = [row + [0] * (size - len(row)) for row, _ in scaled]
     scales = [mult for _, mult in scaled]

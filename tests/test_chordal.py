@@ -79,6 +79,12 @@ class TestParseGraph:
         with pytest.raises(ValueError, match="header"):
             parse_graph("# only comments\n")
 
+    def test_bad_integers_name_the_source_and_line(self):
+        with pytest.raises(ValueError, match=r"^line 1: 'x' is not an integer$"):
+            parse_graph("n x\n")
+        with pytest.raises(ValueError, match=r"^g\.txt: line 3: '2\.5' is not an integer$"):
+            parse_graph("n 3\n1 2\n1 2.5\n", source="g.txt")
+
 
 class TestVerifyPeo:
     def test_path_in_order(self):

@@ -421,6 +421,17 @@ class TestMinorBudget:
                        "1000000; limit the minor order (--max-minor-order)\n")
         assert evaluated == []
 
+    @pytest.mark.parametrize("n", ["1500", "100000000000000000000"])
+    def test_eulerian_checks_the_budget_before_building(self, capsys, monkeypatch, n):
+        def unreachable(size):
+            raise AssertionError("eulerian_matrix called over the budget")
+
+        monkeypatch.setattr(gstirling.cli, "eulerian_matrix", unreachable)
+        code, out, err = run_cli(capsys, "eulerian", "-n", n)
+        assert code == 1 and out == ""
+        assert err.startswith("error: a scan of at least ")
+        assert "exceeds the budget of 1000000" in err
+
     def test_bounded_order_fits_the_budget(self, capsys):
         code, payload = run_json(capsys, "eulerian", "-n", "12", "--max-minor-order", "2")
         assert code == 0 and payload["witness"] is None
@@ -516,6 +527,34 @@ class TestFileInputs:
         code, payload = run_json(capsys, "rook", "--file", str(path), "--gjw")
         assert code == 0
         assert payload["heights"] == [1, 2, 4]
+
+    def test_errors_name_the_file_and_line(self, capsys, tmp_path):
+        cases = [
+            ("chordal", "n x\n1 2\n", "line 1: 'x' is not an integer"),
+            ("chordal", "n 3\n1 2\n2 y\n", "line 3: 'y' is not an integer"),
+            ("rook", "1\n2, q\n", "line 2: 'q' is not an integer"),
+            ("matrix", "0, 1\n0, x\n", "line 2: entry 2 ('x') is not a rational"),
+            ("matrix", "0, 1e99999\n0, 1\n", "line 1: entry 2 has more than"),
+        ]
+        for command, text, message in cases:
+            path = tmp_path / f"{command}.txt"
+            path.write_text(text)
+            code, _, err = run_cli(capsys, command, "--file", str(path))
+            assert code == 1
+            assert err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("command", ["chordal", "matrix", "rook"])
+    def test_non_utf8_file_names_the_path_and_line(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# comment\r\n1, 2\r\n\xe9\n")
+        code, _, err = run_cli(capsys, command, "--file", str(path))
+        assert code == 1
+        assert err == f"error: {path}: line 3: byte 0xe9 is not valid UTF-8\n"
+
+    def test_oversized_inline_entry(self, capsys):
+        code, _, err = run_cli(capsys, "check", "-a", "0,1,1e999999", "-e", "0,0,0")
+        assert code == 1
+        assert err.startswith("error: -a: entry 3 has more than ")
 
     def test_size_disagreement(self, capsys):
         code, _, err = run_cli(capsys, "matrix", "-a", "0,1", "-e", "0,1", "-n", "3")

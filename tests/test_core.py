@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gstirling.core import SequencePair, TriMatrix, format_rational, parse_rational
+from gstirling.core import (
+    SequencePair,
+    TriMatrix,
+    digit_limit,
+    format_matrix,
+    format_rational,
+    parse_rational,
+)
 from gstirling.stirling import stirling_recurrence
 from oracles import identity_rows, is_identity, monomial_coeffs, tri_mul
 
@@ -129,3 +136,87 @@ class TestNewtonExpand:
             for i, pc in enumerate(monomial_coeffs(basis[:k])):
                 acc[i] += c * pc
         assert acc == monomial_coeffs(roots)
+
+
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60)
+
+
+@st.composite
+def rational_rows(draw, max_size=5):
+    size = draw(st.integers(1, max_size))
+    return [draw(st.lists(wide_rationals, min_size=m + 1, max_size=m + 1))
+            for m in range(size)]
+
+
+class TestIntRepresentation:
+    """TriMatrix holds int rows plus one scale; values come out as Fraction."""
+
+    @given(rational_rows())
+    def test_rational_rows_round_trip(self, rows):
+        m = TriMatrix(rows)
+        assert m.scale == 1
+        assert all(isinstance(v, int) for row in m.ints for v in row)
+        assert m.rows == tuple(tuple(row) for row in rows)
+        assert all(m.entry(i, k) == rows[i][k]
+                   for i in range(len(rows)) for k in range(i + 1))
+        assert TriMatrix(m.rows) == m and hash(TriMatrix(m.rows)) == hash(m)
+        assert format_matrix(m) == [[format_rational(v) for v in row] for row in rows]
+
+    def test_fractional_diagonal_is_representable(self):
+        m = TriMatrix(((Fraction(1, 2),), (3, Fraction(2, 3))))
+        assert m.den == 6 and m.ints == ((3,), (18, 4))
+        assert m.rows == ((Fraction(1, 2),), (Fraction(3), Fraction(2, 3)))
+
+    def test_entry_and_rows_are_fractions(self):
+        for m in (TriMatrix(((1,), (2, 1))), TriMatrix.scaled(((1,), (3, 1)), 2),
+                  stirling_recurrence(SequencePair(("1/2", 3), ("1/3", 0)))):
+            assert all(type(v) is Fraction for row in m.rows for v in row)
+            assert all(type(m.entry(i, k)) is Fraction
+                       for i in range(m.n + 1) for k in range(m.n + 1))
+
+    def test_scaled_entries_divide_by_powers_of_the_scale(self):
+        m = TriMatrix.scaled(((1,), (3, 1), (9, 6, 1)), 2)
+        assert m.entry(1, 0) == Fraction(3, 2)
+        assert m.entry(2, 0) == Fraction(9, 4)
+        assert m.entry(2, 1) == 3
+        assert m.entry(0, 2) == 0
+        assert format_matrix(m) == [["1"], ["3/2", "1"], ["9/4", "3", "1"]]
+
+    def test_equality_compares_values_across_scales(self):
+        halves = TriMatrix.scaled(((1,), (1, 1)), 2)
+        assert halves == TriMatrix(((1,), (Fraction(1, 2), 1)))
+        assert halves == TriMatrix.scaled(((1,), (2, 1)), 4)
+        assert hash(halves) == hash(TriMatrix.scaled(((1,), (2, 1)), 4))
+        assert halves != TriMatrix.scaled(((1,), (1, 1)), 3)
+        assert halves != TriMatrix(((1,),))
+        assert halves != "not a matrix"
+
+    def test_immutable(self):
+        m = TriMatrix(((1,),))
+        with pytest.raises(AttributeError):
+            m.scale = 2
+
+    def test_scaled_pair(self):
+        a, e, scale = SequencePair(("1/2", 1), ("1/3", "-0.25")).scaled()
+        assert scale == 12 and a == [6, 12] and e == [4, -3]
+        assert SequencePair((), ()).scaled() == ([], [], 1)
+
+
+@pytest.mark.skipif(digit_limit() == 0, reason="this Python has no int/str digit limit")
+class TestDigitLimit:
+    """Text that would not render back is refused; so is an entry that
+    grows past the limit."""
+
+    def test_oversized_literals(self):
+        limit = digit_limit()
+        for text in ("1e999999999", "1e-999999", "7" * (limit + 1),
+                     f"1/{'3' * (limit + 1)}", f"9e{limit}"):
+            with pytest.raises(OverflowError, match="digits"):
+                parse_rational(text)
+        assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)
+
+    def test_render_overflow_names_the_entry(self):
+        big = 10 ** digit_limit()
+        m = TriMatrix.scaled(((1,), (0, 1), (5, big, 1)))
+        with pytest.raises(ValueError, match=r"entry \(2,1\)"):
+            format_matrix(m)

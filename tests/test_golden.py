@@ -3,7 +3,8 @@
 Every subcommand runs in every format on small committed inputs, together
 with each exit-1 path.  The expected bytes live in ``tests/golden/expected``:
 ``<name>.out`` holds stdout and ``cases.json`` the exit code and stderr of
-each case (``null`` where stderr names a file path or comes from argparse).
+each case, with a file under ``inputs`` named ``@name`` as in argv (``null``
+where stderr comes from argparse or the operating system).
 Regenerate them from the current code with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -151,11 +152,22 @@ CASES = [
     _case("err_rook_decreasing", "rook", "-b", "3,1"),
     _case("err_rook_gjw_wide", "rook", "-b", "1,2,3,4,5,6,7,8,9,10,11", "--gjw"),
     *_each_format("err_minor_budget_eulerian", "eulerian", "-n", "12"),
+    _case("err_minor_budget_eulerian_large", "eulerian", "-n", "1500"),
+    _case("err_minor_budget_eulerian_huge", "eulerian", "-n", "100000000000000000000"),
+    _case("err_oversized_entry", "matrix", "-a", "0,1e999999", "-e", "0,0"),
+    _case("err_oversized_pair_file", "matrix", "--file", "@pair_oversized.txt"),
+    _case("err_render_matrix_overflow", "matrix", "-a", "1e3000,1e3000", "-e", "0,0"),
+    _case("err_render_weight_overflow", "network", "-a", "5e4299", "-e=-5e4299"),
+    _case("err_chordal_header_not_int", "chordal", "--file", "@graph_header_not_int.txt"),
+    _case("err_chordal_not_utf8", "chordal", "--file", "@not_utf8.txt"),
+    _case("err_pair_file_not_utf8", "matrix", "--file", "@not_utf8.txt"),
+    _case("err_rook_file_not_int", "rook", "--file", "@board_not_int.txt"),
 ]
 
 
 def run_case(case) -> tuple[int, str, str]:
-    """Run one case in process; '@name' in argv is a file under inputs/."""
+    """Run one case in process; '@name' in argv is a file under inputs/,
+    and stderr names it '@name' too."""
     argv = [str(INPUTS / a[1:]) if a.startswith("@") else a for a in case["argv"]]
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
@@ -166,7 +178,7 @@ def run_case(case) -> tuple[int, str, str]:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue().replace(f"{INPUTS}{os.sep}", "@")
 
 
 def _expected() -> dict:

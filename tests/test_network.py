@@ -84,6 +84,23 @@ class TestPathMatrix:
                 assert m.entry(i, k) == total
 
 
+class TestScaledPathMatrix:
+    def test_equal_values_on_different_scales(self):
+        """The network route scales by its weights' denominators, which can
+        differ from the pair's: at a = e = (1/2,) the only weight is 0."""
+        sp = sequence_pair(["1/2"], ["1/2"])
+        network, recurrence = path_matrix(build_initial(sp)), stirling_recurrence(sp)
+        assert (network.scale, recurrence.scale) == (1, 2)
+        assert network == recurrence and hash(network) == hash(recurrence)
+
+    def test_weights_scaled_once_by_their_common_denominator(self):
+        wa = WeightArray(2, ((Fraction(1, 2),), (Fraction(1, 3), Fraction(1, 4))))
+        m = path_matrix(wa)
+        assert m.scale == 12
+        assert m.rows == ((1,), (Fraction(1, 2), 1),
+                          (Fraction(1, 6), Fraction(1, 3) + Fraction(1, 4), 1))
+
+
 class TestEnumeratePaths:
     def test_two_step_climb_uses_both_column_edges(self):
         wa = build_initial(sequence_pair([0, 1], [5, 7]))

@@ -30,6 +30,8 @@ class TestFerrersBoard:
         assert parse_board("1 1, 2\n") == FerrersBoard((1, 1, 2))
         with pytest.raises(ValueError):
             parse_board("1, x\n")
+        with pytest.raises(ValueError, match=r"^b\.txt: line 3: 'x' is not an integer$"):
+            parse_board("# c\n1\n2, x\n", source="b.txt")
 
 
 class TestBruteForce:

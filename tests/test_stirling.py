@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstirling.core import SequencePair
+from gstirling.network import build_initial, path_matrix
 from gstirling.stirling import (
     eulerian_matrix,
     preset,
@@ -146,6 +147,53 @@ class TestConstructionRoutes:
                 rng.shuffle(perm)
                 shuffled = SequencePair(sp.a, tuple(perm) + sp.e[m:])
                 assert stirling_recurrence(shuffled).rows[m] == base
+
+
+# denominators 1-7, so the common scale L ranges over 1..420, with entries
+# far beyond machine words; L = 1 when every denominator is 1
+wide = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 7))
+
+
+@st.composite
+def wide_pairs(draw, max_n=5):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    entries = draw(st.sampled_from([wide, st.integers(-10**30, 10**30)]))
+    a = draw(st.lists(entries, min_size=n, max_size=n))
+    e = draw(st.lists(entries, min_size=n, max_size=n))
+    return SequencePair(tuple(a), tuple(e))
+
+
+class TestIntegerRoutes:
+    """Every route runs on the pair scaled to ints; each must equal the
+    independent oracles: the subset enumeration of the explicit formula and
+    the monomial expansion of the defining relation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_pairs())
+    def test_every_route_matches_the_oracles(self, sp):
+        subsets = explicit_subset_sums(sp.a, sp.e)
+        routes = (stirling_recurrence, stirling_explicit, stirling_symmetric,
+                  lambda p: path_matrix(build_initial(p)))
+        for route in routes:
+            m = route(sp)
+            assert m.rows == subsets
+            for row in range(sp.n + 1):
+                lhs = [Fraction(0)] * (row + 1)
+                for k, c in enumerate(m.rows[row]):
+                    for i, pc in enumerate(monomial_coeffs(sp.a[:k])):
+                        lhs[i] += c * pc
+                assert lhs == monomial_coeffs(sp.e[:row])
+
+    def test_integer_pairs_have_scale_one(self):
+        sp = sequence_pair([10**40, 3], [-(10**40), 5])
+        m = stirling_symmetric(sp)
+        assert m.scale == 1 and m.entry(1, 0) == 2 * 10**40
+
+    def test_scale_is_the_common_denominator(self):
+        sp = sequence_pair(["1/2", "1/3"], ["1/7", 0])
+        assert stirling_recurrence(sp).scale == 42
+        assert stirling_explicit(sp).scale == 42
+        assert stirling_symmetric(sp).scale == 42
 
 
 class TestInverse:

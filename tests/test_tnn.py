@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from gstirling.core import SequencePair, TriMatrix
 from gstirling.stirling import preset, sequence_pair, stirling_recurrence
 from gstirling.tnn import (
     MAX_MINORS,
+    check_scan_budget,
     decide_tnn,
     det_exact,
     first_sign_violation,
@@ -160,6 +162,32 @@ class TestMinorScanOracle:
         # a bounded order brings the same matrix under the budget
         assert minor_count(15, 2) <= MAX_MINORS
         assert is_tnn_exhaustive(m, max_order=2) is None
+
+
+class TestScanBudget:
+    def test_exact_count_below_the_exact_size(self):
+        with pytest.raises(ValueError, match=r"a scan of 2674439 minors exceeds"):
+            check_scan_budget(13)
+        check_scan_budget(13, max_order=2)
+        with pytest.raises(ValueError, match="max_order"):
+            check_scan_budget(13, max_order=0)
+
+    def test_lower_bound_at_any_size(self):
+        # at size 1501 the order-1 minors alone pass the budget
+        with pytest.raises(ValueError, match=r"at least 1127251 minors .* 1000000"):
+            check_scan_budget(1501)
+        start = perf_counter()
+        for size in (10**4, 10**20, 10**300):
+            with pytest.raises(ValueError, match="at least"):
+                check_scan_budget(size)
+        assert perf_counter() - start < 1
+        # a large size under a small order can fit: C(1001, 2) order-1 minors
+        check_scan_budget(1000, max_order=1)
+
+    def test_full_count_is_closed_form(self):
+        start = perf_counter()
+        assert minor_count(20001) > 10**12000
+        assert perf_counter() - start < 1
 
 
 class TestUnitLowerInverse:

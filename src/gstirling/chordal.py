@@ -14,7 +14,6 @@ order, so the unit of input is the pair (graph, order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import prod
 from typing import Collection, Optional, Sequence
@@ -22,8 +21,8 @@ from typing import Collection, Optional, Sequence
 from .core import SequencePair, TriMatrix, parse_int_token
 from .stirling import rgs_check_integer, stirling_recurrence
 from .tnn import (
+    EntryWitness,
     MinorWitness,
-    SignViolation,
     first_sign_violation,
     is_tnn_exhaustive,
     unit_lower_inverse,
@@ -83,8 +82,9 @@ class Graph:
 def parse_graph(text: str, source: Optional[str] = None) -> Graph:
     """Graph file format: a header line ``n <count>``, then one ``u v`` edge
     per line, 1-based labels; ``#`` starts a comment.  The label order is the
-    candidate elimination order.  A token that is not an integer is
-    reported with its line and source, the path of the file, when given."""
+    candidate elimination order.  Errors name the line, after the source,
+    the path of the file, when given."""
+    at = "" if source is None else f"{source}: "
     n = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -94,17 +94,17 @@ def parse_graph(text: str, source: Optional[str] = None) -> Graph:
         parts = line.split()
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
-                raise ValueError(f"line {lineno}: expected header 'n <count>'")
+                raise ValueError(f"{at}line {lineno}: expected header 'n <count>'")
             n = parse_int_token(parts[1], lineno, source)
             if n < 0:
-                raise ValueError(f"line {lineno}: negative vertex count")
+                raise ValueError(f"{at}line {lineno}: negative vertex count")
             continue
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v'")
+            raise ValueError(f"{at}line {lineno}: expected 'u v'")
         edges.append((parse_int_token(parts[0], lineno, source),
                       parse_int_token(parts[1], lineno, source)))
     if n is None:
-        raise ValueError("missing header line 'n <count>'")
+        raise ValueError(f"{at}missing header line 'n <count>'")
     return Graph.from_edges(n, edges)
 
 
@@ -180,11 +180,8 @@ def peo_stirling_matrix(report: PeoReport) -> TriMatrix:
             f"label order is not a perfect elimination order: earlier "
             f"neighbors {f.pair} of vertex {f.index} are not adjacent"
         )
-    sp = SequencePair(
-        tuple(Fraction(i) for i in range(len(report.e_sequence))),
-        tuple(Fraction(v) for v in report.e_sequence),
-    )
-    return stirling_recurrence(sp)
+    e = report.e_sequence
+    return stirling_recurrence(SequencePair(tuple(range(len(e))), e))
 
 
 def graph_stirling_bruteforce(g: Graph, m: int, k: int) -> int:
@@ -323,7 +320,7 @@ class ChordalReport:
 
     peo: PeoReport
     tnn_witness: Optional[MinorWitness]
-    sign_violation: Optional[SignViolation]
+    sign_violation: Optional[EntryWitness]
     zero_inverse_entries: tuple[tuple[int, int], ...]
 
     @property
@@ -349,12 +346,8 @@ def matrix_checks(
     matrix already built from it."""
     witness = is_tnn_exhaustive(matrix, max_order=max_order)
     inv = unit_lower_inverse(matrix)
-    zeros = tuple(
-        (m, k)
-        for m in range(inv.n + 1)
-        for k in range(m)
-        if inv.rows[m][k] == 0
-    )
+    zeros = tuple((m, k) for m, row in enumerate(inv.ints)
+                  for k, v in enumerate(row[:m]) if v == 0)
     return ChordalReport(
         peo=peo,
         tnn_witness=witness,

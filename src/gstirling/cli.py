@@ -11,6 +11,7 @@ variable or --format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -168,27 +169,11 @@ def _resolve_board(args: argparse.Namespace) -> FerrersBoard:
 
 # ---------------------------------------------------------------- rendering
 
-def _grid(rows) -> list[list[str]]:
-    """Weight-array rows (or the a and e sequences), each value formatted
-    once; a value too long to render is named by its [m,k] position."""
-    try:
-        return [[format_rational(v) for v in row] for row in rows]
-    except ValueError:
-        for m, row in enumerate(rows, 1):
-            for k, v in enumerate(row, 1):
-                try:
-                    format_rational(v)
-                except ValueError:
-                    raise ValueError(
-                        f"rendering the weights: weight at [{m},{k}] has more "
-                        f"than {digit_limit()} digits"
-                    ) from None
-        raise
-
-
 def _pair_fields(sp: SequencePair) -> tuple[dict, list[str]]:
-    """The a and e sequences as JSON fields and as table lines."""
-    a, e = _grid((sp.a, sp.e))
+    """The a and e sequences as JSON fields and as table lines; the parser
+    bounds their digits, so they always render."""
+    a = [format_rational(v) for v in sp.a]
+    e = [format_rational(v) for v in sp.e]
     return {"a": a, "e": e}, [f"a: {', '.join(a)}", f"e: {', '.join(e)}"]
 
 
@@ -271,7 +256,7 @@ def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
 
 def _certificate(trace, provenance: bool) -> tuple[dict, list[str]]:
     """A pivot certificate as its JSON block and its table lines."""
-    grid = _grid(trace.final.values)
+    grid = trace.final.render()
     block = {"pivots": [list(p) for p in trace.pivots], "final": grid,
              "all_nonnegative": trace.all_nonnegative}
     state = ("all weights non-negative" if trace.all_nonnegative
@@ -376,8 +361,8 @@ def _run_network(args: argparse.Namespace) -> tuple[str, int]:
         applied.append([m, k])
     trace = certify(sp) if args.certify else None
     fields, header = _pair_fields(sp)
-    initial_grid = _grid(initial.values)
-    grid = _grid(wa.values) if applied else initial_grid
+    initial_grid = initial.render()
+    grid = wa.render() if applied else initial_grid
     payload = {"command": "network", "n": sp.n, **fields, "initial": initial_grid,
                "applied_pivots": applied, "result": grid if applied else None,
                "certificate": None}
@@ -623,8 +608,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.format is None:
         args.format = os.environ.get(FORMAT_ENV) or "table"
     try:

@@ -1,12 +1,14 @@
 """Exact-arithmetic building blocks: rationals, sequence pairs and
 lower-triangular matrices.
 
-Sequences and weights are `fractions.Fraction`.  A matrix is int rows plus
-one scale (see TriMatrix): the routes that build S^{a,e} run on ints and
-matrices render straight from them, so a Fraction is made only where a
-caller asks for an entry's value.  The helpers here own the text
-serialization contract: a rational renders as a decimal string exactly when
-its lowest-terms denominator is a power of ten, and as ``p/q`` otherwise, so
+Sequences are parsed into `fractions.Fraction`; all that is computed from
+them runs on ints on one scale, the lcm of the denominators (_to_scale,
+SequencePair.scaled).  A matrix (TriMatrix) and a weight array
+(network.WeightArray) are int rows plus that scale, rendered straight from
+the ints by format_scaled, so a Fraction is made only where a caller asks
+for a value.  The helpers here own the text serialization contract: a
+rational renders as a decimal string exactly when its lowest-terms
+denominator is a power of ten, and as ``p/q`` otherwise, so
 ``Fraction(3, 10)`` prints ``0.3`` while ``Fraction(1, 2)`` prints ``1/2``.
 """
 
@@ -16,8 +18,9 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate, islice, pairwise, repeat
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -108,10 +111,11 @@ def _coerce(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _scale_to_ints(values: Sequence[Fraction], scale: int) -> list[int]:
-    """scale * v for each v, as ints; scale is a multiple of every
-    denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
+def _to_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(L * v for each v, L) as ints, for L the lcm of the denominators:
+    the one place rationals are put on an integer scale."""
+    scale = lcm(1, *(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 @dataclass(frozen=True)
@@ -142,8 +146,8 @@ class SequencePair:
         """(L*a, L*e, L) as ints, for L the lcm of every denominator in a
         and e.  Entry (m,k) of S^{a,e} is homogeneous of degree m-k in
         (a,e), so S^{La,Le}(m,k) = L^(m-k) S^{a,e}(m,k)."""
-        scale = lcm(1, *(v.denominator for v in self.a + self.e))
-        return _scale_to_ints(self.a, scale), _scale_to_ints(self.e, scale), scale
+        ints, scale = _to_scale(self.a + self.e)
+        return ints[:self.n], ints[self.n:], scale
 
 
 class TriMatrix:
@@ -164,8 +168,9 @@ class TriMatrix:
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]) -> None:
         rows = [_coerce(row) for row in rows]
-        den = lcm(1, *(v.denominator for row in rows for v in row))
-        self._set([_scale_to_ints(row, den) for row in rows], 1, den)
+        flat, den = _to_scale([v for row in rows for v in row])
+        it = iter(flat)
+        self._set([list(islice(it, len(row))) for row in rows], 1, den)
 
     @classmethod
     def scaled(cls, ints: Sequence[Sequence[int]], scale: int = 1) -> "TriMatrix":
@@ -194,10 +199,7 @@ class TriMatrix:
     def denominators(self) -> list[int]:
         """den * scale**d for d = 0..n: entry (m,k) is ints[m][k] over the
         (m-k)-th."""
-        out = [self.den]
-        for _ in range(self.n):
-            out.append(out[-1] * self.scale)
-        return out
+        return list(accumulate(repeat(self.scale, self.n), mul, initial=self.den))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -238,26 +240,35 @@ class TriMatrix:
         return f"TriMatrix(rows={self.rows!r})"
 
 
-def format_matrix(matrix: TriMatrix) -> list[list[str]]:
-    """The entries (m,0)..(m,m) of each row m as format_rational text,
-    rendered from the ints with one gcd per entry.  An entry with more
-    digits than digit_limit() raises ValueError naming (m,k)."""
-    dens = matrix.denominators()
-    integral = dens[-1] == 1  # den = 1 and, unless n = 0, scale = 1
-    out = []
-    for m, row in enumerate(matrix.ints):
-        # dens[m::-1] lists the denominators of (m,0)..(m,m)
-        try:
-            out.append(list(map(str, row)) if integral
-                       else list(map(_scaled_text, row, dens[m::-1])))
-        except ValueError:
-            for k, (v, den) in enumerate(zip(row, dens[m::-1])):
+def format_scaled(ints: Sequence[Sequence[int]],
+                  dens: Optional[Sequence[Sequence[int]]],
+                  label: str, base: int = 0) -> list[list[str]]:
+    """ints[i][j] / dens[i][j] as format_rational text, with one gcd per
+    entry; dens None means every denominator is 1.  The one renderer of
+    matrices and weight arrays: an entry with more digits than
+    digit_limit() raises ValueError naming it label.format(i + base,
+    j + base)."""
+    try:
+        if dens is None:
+            return [list(map(str, row)) for row in ints]
+        return [list(map(_scaled_text, row, den)) for row, den in zip(ints, dens)]
+    except ValueError:
+        for i, row in enumerate(ints):
+            for j, v in enumerate(row):
                 try:
-                    _scaled_text(v, den)
+                    _scaled_text(v, 1 if dens is None else dens[i][j])
                 except ValueError:
                     raise ValueError(
-                        f"rendering the matrix: entry ({m},{k}) has more than "
-                        f"{digit_limit()} digits"
+                        f"rendering the {label.format(i + base, j + base)} has "
+                        f"more than {digit_limit()} digits"
                     ) from None
-            raise
-    return out
+        raise
+
+
+def format_matrix(matrix: TriMatrix) -> list[list[str]]:
+    """The entries (m,0)..(m,m) of each row m as format_rational text, by
+    format_scaled; an entry too long to render is named by its (m,k)."""
+    dens = matrix.denominators()  # (m,0)..(m,m) are over dens[m::-1]
+    # dens[-1] == 1 means den = 1 and, unless n = 0, scale = 1
+    per_row = None if dens[-1] == 1 else [dens[m::-1] for m in range(len(dens))]
+    return format_scaled(matrix.ints, per_row, "matrix: entry ({},{})")

@@ -7,8 +7,11 @@ right and climbs; its weight is the product of traversed vertical-edge
 weights.  The path matrix M(m,k) sums these weights over all paths, and
 path_matrix computes it by a column sweep, without listing the paths.
 
-Weight arrays may carry provenance: each weight is some a_f - e_g and the
-(f,g) index pair is stored alongside, with the value always derived from
+Weights are ints on the pair's scale L (SequencePair.scaled): each weight
+is some a_f - e_g, so L times it is the int La_f - Le_g, and a path
+s_m -> t_k climbs m-k edges, so path_matrix sums on ints and returns the
+matrix on scale L.  Weight arrays may carry provenance: the (f,g) index
+pair of each weight is stored alongside, with the value always derived from
 the pair.  Pivoting rewrites provenance only, rotating e-indices in place.
 """
 
@@ -16,59 +19,68 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
-from .core import SequencePair, TriMatrix, _scale_to_ints
+from .core import SequencePair, TriMatrix, format_scaled
 
 
 @dataclass(frozen=True)
 class WeightArray:
-    """Triangular array of vertical-edge weights; row m (1-based, m = 1..n)
-    holds the weights at positions [m,1]..[m,m].
+    """Triangular array of vertical-edge weights as ints on one scale: row
+    m (1-based, m = 1..n) is ints[m-1], and the weight at [m,k] is
+    ints[m-1][k-1] / scale.
 
     provenance[m-1][k-1] = (f, g) means the weight at [m,k] is a_f - e_g for
-    the attached SequencePair; raw arrays carry no provenance.  With
-    provenance the weights are derived from it: values may then be None, and
-    values that are given must agree with it.
+    the attached SequencePair seq; raw arrays carry no provenance.  With
+    provenance the weights are derived from it on seq's scale: ints may
+    then be None, and ints that are given must agree with it in value.
     """
 
-    n: int
-    values: Optional[tuple[tuple[Fraction, ...], ...]]
+    ints: Optional[tuple[tuple[int, ...], ...]]
+    scale: int = 1
     provenance: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
     seq: Optional[SequencePair] = None
 
     def __post_init__(self) -> None:
-        if self.provenance is None:
-            vals = tuple(tuple(Fraction(v) for v in row) for row in self.values)
-        elif self.seq is None:
-            raise ValueError("provenance requires an attached sequence pair")
-        else:
-            a, e = self.seq.a, self.seq.e
-            vals = tuple(tuple(a[f - 1] - e[g - 1] for f, g in row)
-                         for row in self.provenance)
-        if len(vals) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(vals)}")
-        for m, row in enumerate(vals, start=1):
+        if self.provenance is not None:
+            if self.seq is None:
+                raise ValueError("provenance requires an attached sequence pair")
+            a, e, scale = self.seq.scaled()
+            derived = tuple(tuple(a[f - 1] - e[g - 1] for f, g in row)
+                            for row in self.provenance)
+            if self.ints is not None:
+                for m, (row, drow, prow) in enumerate(
+                        zip(self.ints, derived, self.provenance, strict=True), 1):
+                    for k, (v, d, (f, g)) in enumerate(
+                            zip(row, drow, prow, strict=True), 1):
+                        if v * scale != d * self.scale:
+                            raise ValueError(
+                                f"weight at [{m},{k}] disagrees with provenance a{f}-e{g}"
+                            )
+            object.__setattr__(self, "ints", derived)
+            object.__setattr__(self, "scale", scale)
+        for m, row in enumerate(self.ints, start=1):
             if len(row) != m:
                 raise ValueError(f"row {m} has {len(row)} entries, expected {m}")
-        if self.provenance is not None and self.values is not None:
-            for m, (row, derived) in enumerate(zip(self.values, vals, strict=True), 1):
-                for k, (v, d) in enumerate(zip(row, derived, strict=True), 1):
-                    if Fraction(v) != d:
-                        f, g = self.provenance[m - 1][k - 1]
-                        raise ValueError(
-                            f"weight at [{m},{k}] disagrees with provenance a{f}-e{g}"
-                        )
-        object.__setattr__(self, "values", vals)
+
+    @property
+    def n(self) -> int:
+        return len(self.ints)
 
     def weight(self, m: int, k: int) -> Fraction:
         if not (1 <= k <= m <= self.n):
             raise IndexError(f"no vertical edge at [{m},{k}]")
-        return self.values[m - 1][k - 1]
+        return Fraction(self.ints[m - 1][k - 1], self.scale)
 
     def all_nonnegative(self) -> bool:
-        return all(v >= 0 for row in self.values for v in row)
+        return all(v >= 0 for row in self.ints for v in row)
+
+    def render(self) -> list[list[str]]:
+        """The weights as format_rational text, row by row; a weight too
+        long to render is named by its [m,k]."""
+        dens = (None if self.scale == 1
+                else [(self.scale,) * len(row) for row in self.ints])
+        return format_scaled(self.ints, dens, "weights: weight at [{},{}]", base=1)
 
 
 def _initial_e_indices(n: int) -> list[list[int]]:
@@ -79,7 +91,7 @@ def _initial_e_indices(n: int) -> list[list[int]]:
 def _from_provenance(sp: SequencePair, rows) -> WeightArray:
     """WeightArray with weight a_f - e_g for each (f, g) pair in rows 1..n."""
     prov = tuple(tuple(row) for row in rows)
-    return WeightArray(n=sp.n, values=None, provenance=prov, seq=sp)
+    return WeightArray(None, provenance=prov, seq=sp)
 
 
 def build_initial(sp: SequencePair) -> WeightArray:
@@ -89,16 +101,15 @@ def build_initial(sp: SequencePair) -> WeightArray:
 
 def path_matrix(wa: WeightArray) -> TriMatrix:
     """Sum path weights s_m -> t_k for all (m,k) by one column sweep per
-    source, on the weights times L, their common denominator, as ints; a
-    path s_m -> t_k climbs m-k edges, so the sums are L^(m-k) M(m,k).
+    source, on the ints of the weights, scale L; a path s_m -> t_k climbs
+    m-k edges, so the sums are L^(m-k) M(m,k).
 
     acc[r] accumulates the weight of partial paths currently at row r <= m,
     since paths only climb.  Column c is processed by climbing in place,
     acc[r] += w[r+1,c] * acc[r+1] for r = m-1 down to c-1, after which
     acc[c-1] is final and equals M(m, c-1); at the end acc is row m.
     """
-    scale = lcm(1, *(v.denominator for row in wa.values for v in row))
-    weights = [_scale_to_ints(row, scale) for row in wa.values]
+    weights = wa.ints
     rows: list[list[int]] = []
     for m in range(wa.n + 1):
         acc = [0] * m + [1]
@@ -108,7 +119,7 @@ def path_matrix(wa: WeightArray) -> TriMatrix:
                 if w and acc[r + 1]:
                     acc[r] += w * acc[r + 1]
         rows.append(acc)
-    return TriMatrix.scaled(rows, scale)
+    return TriMatrix.scaled(rows, wa.scale)
 
 
 def _rotate_e_indices(e_rows: list[list[int]], m: int, k: int) -> None:
@@ -155,20 +166,22 @@ def certify(sp: SequencePair) -> PivotTrace:
     f; a violation e_i > a_f stops the trace, leaving the negative weight
     a_f - e_i exposed at [i, f].
     Each pivot checks its weight is 0 and rotates build_initial's e-indices
-    in place; the final WeightArray is built once.
+    in place; the final WeightArray is built once.  The comparisons run on
+    the pair's ints (SequencePair.scaled).
     """
     if not sp.a_nondecreasing:
         raise ValueError("certify requires a non-decreasing a-sequence")
+    a, e, _ = sp.scaled()
     e_rows = _initial_e_indices(sp.n)
     pivots: list[tuple[int, int]] = []
     f = 1
     for i in range(1, sp.n + 1):
-        cap = sp.a[f - 1]
-        ei = sp.e[i - 1]
+        cap = a[f - 1]
+        ei = e[i - 1]
         if ei > cap:
             break
         if ei == cap:
-            if cap - sp.e[e_rows[i - 1][f - 1] - 1] != 0:
+            if cap != e[e_rows[i - 1][f - 1] - 1]:
                 raise RuntimeError(
                     f"pivot position [{i},{f}] carries nonzero weight; "
                     "provenance rewrite rule violated"

@@ -14,7 +14,6 @@ holds for every x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import pairwise
 from typing import Optional, Sequence
 
@@ -85,10 +84,8 @@ def rook_numbers_bruteforce(board: FerrersBoard, m: int, k: int) -> int:
 def board_pair(board: FerrersBoard) -> SequencePair:
     """The (a, e) pair realizing the board's rook numbers: a_i = i-1,
     e_i = i-1-b_i."""
-    return SequencePair(
-        tuple(Fraction(i - 1) for i in range(1, board.n + 1)),
-        tuple(Fraction(i - 1 - board.heights[i - 1]) for i in range(1, board.n + 1)),
-    )
+    return SequencePair(tuple(range(board.n)),
+                        tuple(i - h for i, h in enumerate(board.heights)))
 
 
 def rook_matrix(board: FerrersBoard) -> TriMatrix:

@@ -16,7 +16,6 @@ S(m,k) is homogeneous of degree m-k, and return TriMatrix.scaled(ints, L).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -184,8 +183,8 @@ def preset(name: str, n: int) -> SequencePair:
         raise ValueError("n must be non-negative")
     fa, fe = _PRESETS[name]
     return SequencePair(
-        tuple(Fraction(fa(i)) for i in range(1, n + 1)),
-        tuple(Fraction(fe(i)) for i in range(1, n + 1)),
+        tuple(fa(i) for i in range(1, n + 1)),
+        tuple(fe(i) for i in range(1, n + 1)),
     )
 
 

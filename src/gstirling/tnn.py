@@ -7,11 +7,12 @@ restricted-growth sequence relative to a; the decision procedure returns a
 planar-network certificate in the positive case and a negative entry witness
 in the negative case, with the exhaustive oracle available as a cross-check.
 
-The oracle scales each row once to integers and takes every minor with one
+The oracle reads a matrix's ints (TriMatrix) and takes every minor with one
 fraction-free Bareiss kernel, the same one behind det_exact.  Of a
 lower-triangular matrix it visits only the minors that can be nonzero, those
 with cols[i] <= rows[i]: C(s+1) - 1 of them at size s (a Catalan number).
-Scans of more than MAX_MINORS minors stop before the first one.
+Scans of more than MAX_MINORS minors stop before the first one.  The
+inverse and its sign pattern run on the ints too.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm, prod
-from typing import Iterator, Optional, Sequence
+from math import comb, prod
+from typing import Iterator, Optional, Union
 
-from .core import SequencePair, TriMatrix, _scale_to_ints
+from .core import SequencePair, TriMatrix, _to_scale
 from .network import PivotTrace, certify
 from .stirling import RgsReport, rgs_check, stirling_recurrence
 
@@ -68,16 +69,10 @@ def _bareiss(mat: list[list[int]]) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def _scaled_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The row times D, the lcm of its denominators, as ints, and D."""
-    mult = lcm(*(v.denominator for v in row))
-    return _scale_to_ints(row, mult), mult
-
-
 def det_exact(rows: list[list[Fraction]]) -> Fraction:
     """Exact determinant: clear denominators row by row, run fraction-free
     Bareiss elimination over the integers, divide the scales back out."""
-    scaled = [_scaled_row(row) for row in rows]
+    scaled = [_to_scale(row) for row in rows]
     return Fraction(_bareiss([ints for ints, _ in scaled]),
                     prod(mult for _, mult in scaled))
 
@@ -133,30 +128,31 @@ def _admissible_cols(
 
 def iter_minors(
     matrix: TriMatrix, max_order: Optional[int] = None
-) -> "Iterator[tuple[tuple[int, ...], tuple[int, ...], Fraction]]":
+) -> "Iterator[tuple[tuple[int, ...], tuple[int, ...], Union[int, Fraction]]]":
     """Yield (rows, cols, value) for every minor up to max_order (default:
     all orders), visited by ascending order then lexicographically by (rows,
     cols).
 
     Only column sets with cols[i] <= rows[i] for every i are visited: any
-    other minor of a lower-triangular matrix vanishes identically.  Each
-    row m is scaled once by D_m, the lcm of its denominators, so every
-    minor is an integer Bareiss determinant divided by the product of D_m
-    over its rows.  A scan of more than MAX_MINORS minors (see
-    check_scan_budget) raises ValueError before the first one is
-    yielded."""
+    other minor of a lower-triangular matrix vanishes identically.  Entry
+    (r,c) is ints[r][c] L^c / (D L^r), so the minor on (R, C) is the
+    integer Bareiss determinant of ints[R][C] over D^|R| L^(sum R - sum C);
+    the value is that int when the denominator is 1, else a Fraction.  A
+    scan of more than MAX_MINORS minors (see check_scan_budget) raises
+    ValueError before the first one is yielded."""
     size = matrix.n + 1
     check_scan_budget(size, max_order)
-    scaled = [_scaled_row(row) for row in matrix.rows]
-    ints = [row + [0] * (size - len(row)) for row, _ in scaled]
-    scales = [mult for _, mult in scaled]
+    ints = [row + (0,) * (size - len(row)) for row in matrix.ints]
+    scale = matrix.scale
     top = size if max_order is None else min(max_order, size)
     for order in range(1, top + 1):
+        den = matrix.den ** order
         for rows in combinations(range(size), order):
-            scale = prod(scales[r] for r in rows)
+            lift = sum(rows)
             for cols in _admissible_cols(rows):
-                sub = [[ints[r][c] for c in cols] for r in rows]
-                yield rows, cols, Fraction(_bareiss(sub), scale)
+                det = _bareiss([[ints[r][c] for c in cols] for r in rows])
+                q = den * scale ** (lift - sum(cols))
+                yield rows, cols, det if q == 1 else Fraction(det, q)
 
 
 def is_tnn_exhaustive(
@@ -167,58 +163,47 @@ def is_tnn_exhaustive(
     pass."""
     for rows, cols, value in iter_minors(matrix, max_order=max_order):
         if value < 0:
-            return MinorWitness(rows=rows, cols=cols, value=value)
+            return MinorWitness(rows=rows, cols=cols, value=Fraction(value))
     return None
 
 
 def unit_lower_inverse(matrix: TriMatrix) -> TriMatrix:
-    """Invert a unit lower-triangular matrix by forward substitution."""
-    n = matrix.n
-    if any(matrix.rows[m][m] != 1 for m in range(n + 1)):
+    """Invert a unit lower-triangular matrix by forward substitution on its
+    ints.  With s = D L the inverse is TriMatrix.scaled(Y, s) for Y(m,m) = 1
+    and Y(m,k) = -sum_{k<=j<m} ints[m][j] D^(m-j-1) Y(j,k)."""
+    den = matrix.den
+    if any(row[m] != den for m, row in enumerate(matrix.ints)):
         raise ValueError("matrix is not unit lower-triangular")
-    inv: list[list[Fraction]] = []
-    for m in range(n + 1):
-        row = []
-        for k in range(m):
-            row.append(
-                -sum(
-                    (matrix.rows[m][j] * inv[j][k] for j in range(k, m)),
-                    Fraction(0),
-                )
-            )
-        row.append(Fraction(1))
-        inv.append(row)
-    return TriMatrix(tuple(tuple(r) for r in inv))
-
-
-@dataclass(frozen=True)
-class SignViolation:
-    """Inverse entry at (row, col) whose sign disagrees with (-1)^(row-col)."""
-
-    row: int
-    col: int
-    value: Fraction
-
-
-def first_sign_violation(inv: TriMatrix) -> Optional[SignViolation]:
-    """Check the alternating sign pattern of an inverse: entry (m,k) times
-    (-1)^(m-k) must be >= 0.  Zero entries conform.  Returns the first
-    violation in row-major order, None if the pattern holds."""
-    for m in range(inv.n + 1):
-        for k in range(m + 1):
-            v = inv.rows[m][k]
-            if (-1) ** (m - k) * v < 0:
-                return SignViolation(row=m, col=k, value=v)
-    return None
+    dpow = [den ** d for d in range(matrix.n + 1)]
+    inv: list[list[int]] = []
+    for m, row in enumerate(matrix.ints):
+        coef = [v * dpow[m - j - 1] for j, v in enumerate(row[:m])]
+        inv.append([-sum(coef[j] * inv[j][k] for j in range(k, m))
+                    for k in range(m)] + [1])
+    return TriMatrix.scaled(inv, den * matrix.scale)
 
 
 @dataclass(frozen=True)
 class EntryWitness:
-    """A strictly negative matrix entry, witnessing failure of TNN."""
+    """A matrix entry that fails a sign check: a strictly negative entry of
+    S^{a,e}, witnessing failure of TNN, or an inverse entry whose sign
+    disagrees with (-1)^(row-col)."""
 
     row: int
     col: int
     value: Fraction
+
+
+def first_sign_violation(inv: TriMatrix) -> Optional[EntryWitness]:
+    """Check the alternating sign pattern of an inverse: entry (m,k) times
+    (-1)^(m-k) must be >= 0.  Zero entries conform.  Returns the first
+    violation in row-major order, None if the pattern holds; the signs are
+    read from the ints."""
+    for m, row in enumerate(inv.ints):
+        for k, v in enumerate(row):
+            if (-1) ** (m - k) * v < 0:
+                return EntryWitness(row=m, col=k, value=inv.entry(m, k))
+    return None
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ fixed seed reproduces the exact corpus.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from gstirling.core import SequencePair
@@ -56,8 +57,11 @@ def random_dominant_pair(rng: Random, n: int) -> SequencePair:
 
 
 def weight_array(rows) -> WeightArray:
-    """Raw weight array (no provenance) with rows 1..n as given."""
-    return WeightArray(n=len(rows), values=rows)
+    """Raw weight array (no provenance) with rows 1..n as given, on the lcm
+    of their denominators."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    scale = lcm(1, *(v.denominator for row in rows for v in row))
+    return WeightArray(tuple(tuple(int(v * scale) for v in row) for row in rows), scale)
 
 
 def random_weight_array(rng: Random, n: int) -> WeightArray:

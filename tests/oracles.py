@@ -3,7 +3,7 @@
 Nothing here imports the package under test; every count is produced by
 direct enumeration so the library's algebraic routes can be checked against
 ground truth.  Matrices are ragged lower-triangular rows, as in
-TriMatrix.rows; weight arrays are read only through their n and values.
+TriMatrix.rows; weight arrays are read only through their n and weight().
 """
 
 from fractions import Fraction
@@ -268,8 +268,19 @@ def tri_mul(x, y):
     )
 
 
+def unit_lower_inverse_rows(rows):
+    """Inverse of a unit lower-triangular matrix given as ragged rows, by
+    forward substitution over Fraction."""
+    inv = []
+    for m in range(len(rows)):
+        row = [-sum((rows[m][j] * inv[j][k] for j in range(k, m)), Fraction(0))
+               for k in range(m)]
+        inv.append(tuple(row) + (Fraction(1),))
+    return tuple(inv)
+
+
 # Paths in the planar network of a weight array (anything with .n and
-# .values, values[r-1][c-1] the weight of the vertical edge [r,c]).  A path
+# .weight(r, c), the weight of the vertical edge [r,c]).  A path
 # s_m -> t_k climbs b_c rows in column c, for c = 1..k+1, and (b_1..b_{k+1})
 # is a composition of m-k.
 
@@ -293,7 +304,7 @@ def _path_weight(wa, m, comp):
     r = m
     for c, climb in enumerate(comp, start=1):
         for _ in range(climb):
-            w *= wa.values[r - 1][c - 1]
+            w *= wa.weight(r, c)
             r -= 1
     return w
 

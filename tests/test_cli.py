@@ -10,7 +10,7 @@ import gstirling.chordal
 import gstirling.cli
 import gstirling.tnn
 from gstirling.cli import main
-from gstirling.core import format_rational, parse_rational
+from gstirling.core import TriMatrix, format_rational, parse_rational
 from gstirling.stirling import sequence_pair, stirling_recurrence
 from gstirling.tnn import is_tnn_exhaustive
 
@@ -483,6 +483,60 @@ class TestChordalCheckAllOnce:
         assert payload["checks"]["tnn_witness"] is None
         assert reorders == [(1, 4, 2, 3)]
         assert calls == {name: 1 for name in self.STEPS}
+
+
+class TestNoPathReadsTheRowsView:
+    """Every CLI path reads matrices through their ints: with the Fraction
+    rows view made to raise, each gives the bytes it gives without."""
+
+    CASES = {
+        "check-exhaustive": ("check", "-a", "0,1/2,1/2,1", "-e", "0,1/2,0,1/3",
+                             "--exhaustive"),
+        "check-exhaustive-witness": ("check", "-a", "0,1,2,3", "-e", "0,1,3,0",
+                                     "--exhaustive"),
+        "check-exhaustive-only": ("check", "-a", "3,1/2,2", "-e", "0,0,1/3",
+                                  "--exhaustive-only"),
+        "chordal-check-all": ("chordal", "--from-rgs", "0,1,0,2,1,3", "--check-all"),
+        "rook-check-tnn": ("rook", "-b", "1,2,2,3", "--check-tnn"),
+        "eulerian": ("eulerian", "-n", "5"),
+        **{f"matrix-{method}": ("matrix", "-a", "1/2,-1,3", "-e", "0,1/3,2",
+                                "--method", method, "--verify-all")
+           for method in gstirling.cli.METHODS},
+        "network-certify": ("network", "-a", "0,1/2,1/2,1", "-e", "0,1/2,0,1/3",
+                            "--certify", "--provenance"),
+    }
+
+    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
+    @pytest.mark.parametrize("fmt", gstirling.cli.FORMATS)
+    def test_same_output(self, capsys, monkeypatch, argv, fmt):
+        want = run_cli(capsys, *argv, "--format", fmt)
+
+        def unreadable(matrix):
+            raise AssertionError("TriMatrix.rows was read")
+
+        monkeypatch.setattr(TriMatrix, "rows", property(unreadable))
+        assert run_cli(capsys, *argv, "--format", fmt) == want
+
+
+class TestParserOnce:
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        built = []
+        real = gstirling.cli.build_parser
+        monkeypatch.setattr(gstirling.cli, "build_parser",
+                            lambda: built.append(1) or real())
+        gstirling.cli._parser.cache_clear()
+        for argv in (("matrix", "--preset", "lah", "-n", "2"), ("eulerian", "-n", "2"),
+                     ("rook", "-b", "1,2")):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert built == [1]
+
+    def test_pivot_default_does_not_leak(self, capsys):
+        code, first = run_json(capsys, "network", "-a", "0,1,2", "-e", "0,1,1",
+                               "--pivot", "1,1")
+        assert code == 0 and first["applied_pivots"] == [[1, 1]]
+        code, second = run_json(capsys, "network", "-a", "0,1,2", "-e", "0,1,1")
+        assert code == 0 and second["applied_pivots"] == []
+        assert second["result"] is None
 
 
 class TestFormatSelection:

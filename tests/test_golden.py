@@ -146,6 +146,8 @@ CASES = [
     _case("err_chordal_not_rgs", "chordal", "--from-rgs", "1,0"),
     _case("err_chordal_chromatic_not_int", "chordal", *RGS, "--chromatic", "1,y"),
     _case("err_chordal_bad_header", "chordal", "--file", "@graph_bad_header.txt"),
+    _case("err_chordal_bad_edge", "chordal", "--file", "@graph_bad_edge.txt"),
+    _case("err_chordal_negative_count", "chordal", "--file", "@graph_negative_count.txt"),
     _case("err_chordal_missing_file", "chordal", "--file", "@missing.txt", pin_stderr=False),
     _case("err_rook_two_sources", "rook", "-b", "1,2", "--file", "@board.txt"),
     _case("err_rook_not_int", "rook", "-b", "1,z"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gstirling.core import SequencePair
+from gstirling.core import SequencePair, TriMatrix
 from gstirling.network import WeightArray, build_initial, certify, path_matrix, pivot
 from gstirling.stirling import rgs_check, sequence_pair, stirling_recurrence
 from corpus import random_pair, random_rgs_pair, random_weight_array, weight_array
@@ -41,14 +41,16 @@ class TestWeightArray:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            WeightArray(n=2, values=((Fraction(1),),))
+            WeightArray(((1,), (2,)))
         with pytest.raises(ValueError):
-            WeightArray(n=1, values=((Fraction(1), Fraction(2)),))
+            WeightArray(((1, 2),))
 
     def test_provenance_consistency_enforced(self):
         sp = sequence_pair([0], [1])
         with pytest.raises(ValueError):
-            WeightArray(n=1, values=((Fraction(5),),), provenance=(((1, 1),),), seq=sp)
+            WeightArray(((5,),), provenance=(((1, 1),),), seq=sp)
+        # given ints are compared in value, on their own scale
+        assert WeightArray(((-2,),), 2, (((1, 1),),), sp).ints == ((-1,),)
 
     def test_weight_out_of_range(self):
         wa = build_initial(sequence_pair([0], [1]))
@@ -86,15 +88,15 @@ class TestPathMatrix:
 
 class TestScaledPathMatrix:
     def test_equal_values_on_different_scales(self):
-        """The network route scales by its weights' denominators, which can
-        differ from the pair's: at a = e = (1/2,) the only weight is 0."""
-        sp = sequence_pair(["1/2"], ["1/2"])
-        network, recurrence = path_matrix(build_initial(sp)), stirling_recurrence(sp)
-        assert (network.scale, recurrence.scale) == (1, 2)
-        assert network == recurrence and hash(network) == hash(recurrence)
+        """A raw array's path matrix is on the array's scale, 2 here, while
+        the same values given as rationals get scale 1 and denominator 2."""
+        network = path_matrix(weight_array([[Fraction(1, 2)]]))
+        given = TriMatrix(((1,), (Fraction(1, 2), 1)))
+        assert (network.scale, given.scale) == (2, 1)
+        assert network == given and hash(network) == hash(given)
 
     def test_weights_scaled_once_by_their_common_denominator(self):
-        wa = WeightArray(2, ((Fraction(1, 2),), (Fraction(1, 3), Fraction(1, 4))))
+        wa = weight_array([[Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 4)]])
         m = path_matrix(wa)
         assert m.scale == 12
         assert m.rows == ((1,), (Fraction(1, 2), 1),
@@ -321,8 +323,9 @@ class TestInPlaceRotation:
             tuple((data.draw(idx), data.draw(idx)) for _ in range(m))
             for m in range(1, sp.n + 1)
         )
-        vals = tuple(tuple(sp.a[f - 1] - sp.e[g - 1] for f, g in row) for row in prov)
-        wa = WeightArray(n=sp.n, values=vals, provenance=prov, seq=sp)
+        a, e, scale = sp.scaled()
+        ints = tuple(tuple(a[f - 1] - e[g - 1] for f, g in row) for row in prov)
+        wa = WeightArray(ints, scale, prov, sp)
         m = data.draw(st.integers(min_value=1, max_value=sp.n))
         k = data.draw(st.integers(min_value=1, max_value=m))
         assert pivot(wa, m, k).provenance == pivot_provenance(prov, m, k)

@@ -4,13 +4,14 @@ from random import Random
 from time import perf_counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gstirling.core import SequencePair, TriMatrix
 from gstirling.stirling import preset, sequence_pair, stirling_recurrence
 from gstirling.tnn import (
     MAX_MINORS,
+    EntryWitness,
     check_scan_budget,
     decide_tnn,
     det_exact,
@@ -26,6 +27,7 @@ from oracles import (
     is_identity,
     tri_mul,
     triangular_minors,
+    unit_lower_inverse_rows,
 )
 from strategies import monotone_pairs
 
@@ -215,6 +217,52 @@ class TestUnitLowerInverse:
                     assert inv.entry(i, k) == (-1) ** (i + k) * cofactor_det(sub)
 
 
+# below-diagonal entries with denominators 1-7
+sevenths = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def unit_lower_rows(draw, max_size=6):
+    size = draw(st.integers(2, max_size))
+    return tuple(tuple(draw(st.lists(sevenths, min_size=m, max_size=m))) + (Fraction(1),)
+                 for m in range(size))
+
+
+@st.composite
+def rational_pairs(draw, max_n=5):
+    """Pairs whose common denominator L is above 1."""
+    n = draw(st.integers(1, max_n))
+    a, e = (tuple(draw(st.lists(sevenths, min_size=n, max_size=n))) for _ in "ae")
+    sp = SequencePair(a, e)
+    assume(sp.scaled()[2] > 1)
+    return sp
+
+
+class TestInverseOnInts:
+    """unit_lower_inverse runs on the ints; the Fraction forward
+    substitution of the oracles is the reference."""
+
+    @given(unit_lower_rows())
+    def test_rational_rows(self, rows):
+        m = TriMatrix(rows)
+        assume(m.den > 1)
+        assert unit_lower_inverse(m).rows == unit_lower_inverse_rows(rows)
+
+    @given(rational_pairs())
+    def test_pair_scale(self, sp):
+        m = stirling_recurrence(sp)
+        assert m.scale > 1
+        assert unit_lower_inverse(m).rows == unit_lower_inverse_rows(m.rows)
+
+
+class TestMinorsOnPairScale:
+    @given(rational_pairs(max_n=4), st.one_of(st.none(), st.integers(1, 5)))
+    def test_matches_combination_oracle(self, sp, max_order):
+        m = stirling_recurrence(sp)
+        assert m.scale > 1
+        assert list(iter_minors(m, max_order)) == triangular_minors(m.rows, max_order)
+
+
 class TestSignPattern:
     def test_partition_preset_has_alternating_inverse(self):
         m = stirling_recurrence(preset("stirling2", 6))
@@ -228,7 +276,7 @@ class TestSignPattern:
         ))
         # inverse entry (1,0) is +1, breaking the (-1)^(m-k) pattern
         v = first_sign_violation(unit_lower_inverse(m))
-        assert v is not None and (v.row, v.col) == (1, 0) and v.value == 1
+        assert v == EntryWitness(row=1, col=0, value=Fraction(1))
 
     def test_zero_entries_conform(self):
         assert first_sign_violation(TriMatrix(identity_rows(3))) is None

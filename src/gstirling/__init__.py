@@ -17,7 +17,6 @@ from .stirling import (
     eulerian_matrix,
     preset,
     rgs_check,
-    rgs_check_integer,
     sequence_pair,
     stirling_explicit,
     stirling_recurrence,
@@ -103,7 +102,6 @@ __all__ = [
     "pivot",
     "preset",
     "rgs_check",
-    "rgs_check_integer",
     "rook_matrix",
     "rook_numbers_bruteforce",
     "sequence_pair",

@@ -19,7 +19,7 @@ from math import prod
 from typing import Collection, Optional, Sequence
 
 from .core import SequencePair, TriMatrix, parse_int_token
-from .stirling import rgs_check_integer, stirling_recurrence
+from .stirling import rgs_check, stirling_recurrence
 from .tnn import (
     EntryWitness,
     MinorWitness,
@@ -285,10 +285,15 @@ def graph_from_rgs(e: Sequence[int]) -> Graph:
 
     That clique is built greedily: its next vertex is the smallest
     candidate u whose later candidate neighbours still hold a clique of the
-    remaining size, and those neighbours become the candidates."""
-    if not rgs_check_integer(e):
-        raise ValueError("not an integer restricted-growth string")
+    remaining size, and those neighbours become the candidates.
+
+    e is checked by rgs_check with a = (0, 1, .., n-1), the chordal
+    corollary: on non-negative ints, e_1 = 0 and e_{i+1} <= 1 + max(e_1..e_i)."""
+    if any(v < 0 for v in e):
+        raise ValueError("integer restricted-growth strings are non-negative")
     n = len(e)
+    if not rgs_check(SequencePair(tuple(range(n)), tuple(e))).is_rgs:
+        raise ValueError("not an integer restricted-growth string")
     edges: list[tuple[int, int]] = []
     partial: list[set[int]] = [set() for _ in range(n + 1)]
     for k in range(1, n + 1):

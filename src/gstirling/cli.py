@@ -39,7 +39,7 @@ from .stirling import (
     stirling_recurrence,
     stirling_symmetric,
 )
-from .tnn import check_scan_budget, decide_tnn, is_tnn_exhaustive, iter_minors
+from .tnn import MinorWitness, check_scan_budget, decide_tnn, is_tnn_exhaustive, iter_minors
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -276,18 +276,21 @@ def _run_check(args: argparse.Namespace) -> tuple[str, int]:
         )
     if args.exhaustive_only:
         matrix = stirling_recurrence(sp)
-        minor = _witness_json(is_tnn_exhaustive(matrix, max_order=args.max_minor_order))
-        is_tnn = minor is None
+        order = args.max_minor_order
+        minor = _witness_json(is_tnn_exhaustive(matrix, max_order=order))
+        truncated = minor is None and order is not None and order <= sp.n
+        is_tnn = None if truncated else minor is None
         payload = {"command": "check", "mode": "exhaustive-only", "n": sp.n, **fields,
                    "is_tnn": is_tnn, "minor_witness": minor}
         mode = "" if sp.a_nondecreasing else " (a not non-decreasing)"
-        table = [*header, f"mode: exhaustive-only{mode}",
-                 f"verdict: {'TNN' if is_tnn else 'NOT TNN'}"]
+        verdict = (f"no negative minor up to order {order}; TNN not decided"
+                   if truncated else "TNN" if is_tnn else "NOT TNN")
+        table = [*header, f"mode: exhaustive-only{mode}", f"verdict: {verdict}"]
         if minor is not None:
             table.append(f"negative minor: rows {minor['rows']} cols {minor['cols']} "
                          f"value {minor['value']}")
         grid = format_matrix(matrix) if args.format == "csv" else ()
-        return _emit(args, payload, table, grid), EXIT_OK if is_tnn else EXIT_WITNESS
+        return _emit(args, payload, table, grid), EXIT_WITNESS if minor else EXIT_OK
 
     verdict = decide_tnn(sp)
     # only the scan and the csv triples read the matrix itself
@@ -497,8 +500,7 @@ def _run_eulerian(args: argparse.Namespace) -> tuple[str, int]:
     for rows, cols, value in iter_minors(matrix, max_order=args.max_minor_order):
         checked += 1
         if value < 0:
-            witness = {"rows": list(rows), "cols": list(cols),
-                       "value": format_rational(value)}
+            witness = _witness_json(MinorWitness(rows, cols, Fraction(value)))
             break
     grid = format_matrix(matrix)
     payload = {"command": "eulerian", "n": args.n, "matrix": grid,
@@ -621,6 +623,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.format not in FORMATS:
             raise ValueError(f"unknown format {args.format!r}; choose from {FORMATS}")
+        order = getattr(args, "max_minor_order", None)
+        if order is not None and order < 1:
+            raise ValueError(f"--max-minor-order must be at least 1, got {order}")
         out, code = _RUNNERS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

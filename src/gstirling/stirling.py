@@ -11,6 +11,9 @@ independent check of it) and the symmetric-function formula; the planar
 network path matrix lives in the network module.  All run on the integer
 pair (La, Le) for L the common denominator (SequencePair.scaled), since
 S(m,k) is homogeneous of degree m-k, and return TriMatrix.scaled(ints, L).
+
+rgs_check, the one walk of the growth condition's cap pointer, runs on the
+same integer pair; network.certify and chordal.graph_from_rgs reuse it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .core import RationalLike, SequencePair, TriMatrix, _coerce
+from .core import RationalLike, SequencePair, TriMatrix
 
 
 @dataclass(frozen=True)
@@ -42,43 +45,27 @@ def rgs_check(sp: SequencePair) -> RgsReport:
     """Decide whether e is a restricted-growth sequence relative to a.
 
     The cap pointer starts at f(1) = 1 and advances by one exactly when
-    e_i = a_{f(i)}; the condition is e_i <= a_{f(i)} for every i.  On the
-    first violation the pointer freezes and the report records (index,
-    level).  Requires a non-decreasing.
+    e_i = a_{f(i)} (a cap hit); the condition is e_i <= a_{f(i)} for every
+    i.  On the first violation the pointer freezes and the report records
+    (index, level).  Requires a non-decreasing.  The comparisons run on the
+    pair's ints (SequencePair.scaled).
     """
     if not sp.a_nondecreasing:
         raise ValueError("rgs_check requires a non-decreasing a-sequence")
+    a, e, _ = sp.scaled()
     f = 1
     caps = []
     violation = None
-    for i in range(1, sp.n + 1):
+    for i, ei in enumerate(e, start=1):
         caps.append(f)
         if violation is not None:
             continue
-        cap = sp.a[f - 1]
-        ei = sp.e[i - 1]
+        cap = a[f - 1]
         if ei > cap:
             violation = RgsViolation(index=i, level=f)
         elif ei == cap:
             f += 1
     return RgsReport(is_rgs=violation is None, cap_indices=tuple(caps), violation=violation)
-
-
-def rgs_check_integer(e: Sequence[int]) -> bool:
-    """Classical restricted-growth string test: e_1 = 0 and
-    e_{i+1} <= 1 + max(e_1..e_i), over non-negative integers."""
-    if len(e) == 0:
-        return True
-    if any(v < 0 for v in e):
-        raise ValueError("integer restricted-growth strings are non-negative")
-    if e[0] != 0:
-        return False
-    top = 0
-    for v in e[1:]:
-        if v > top + 1:
-            return False
-        top = max(top, v)
-    return True
 
 
 def stirling_recurrence(sp: SequencePair) -> TriMatrix:
@@ -208,5 +195,6 @@ def eulerian_matrix(n: int) -> TriMatrix:
 def sequence_pair(
     a: Iterable[RationalLike], e: Iterable[RationalLike]
 ) -> SequencePair:
-    """Convenience constructor accepting ints, strings, or Fractions."""
-    return SequencePair(_coerce(a), _coerce(e))
+    """Convenience constructor accepting ints, strings, or Fractions, which
+    SequencePair parses."""
+    return SequencePair(tuple(a), tuple(e))

@@ -153,6 +153,23 @@ def monomial_coeffs(roots):
     return coeffs
 
 
+def rgs_check_integer(e):
+    """Classical restricted-growth string test: e_1 = 0 and
+    e_{i+1} <= 1 + max(e_1..e_i), over non-negative integers."""
+    if len(e) == 0:
+        return True
+    if any(v < 0 for v in e):
+        raise ValueError("integer restricted-growth strings are non-negative")
+    if e[0] != 0:
+        return False
+    top = 0
+    for v in e[1:]:
+        if v > top + 1:
+            return False
+        top = max(top, v)
+    return True
+
+
 def integer_rgs(n):
     """All classical restricted-growth strings of length n."""
     if n == 0:

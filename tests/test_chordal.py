@@ -1,3 +1,4 @@
+from itertools import product
 from random import Random
 
 import pytest
@@ -18,13 +19,14 @@ from gstirling.chordal import (
     signed_inverse_check,
     verify_peo,
 )
-from gstirling.stirling import preset, rgs_check_integer, stirling_recurrence
+from gstirling.stirling import preset, stirling_recurrence
 from gstirling.tnn import first_sign_violation, unit_lower_inverse
 from oracles import (
     coloring_count,
     independent_partition_count,
     integer_rgs,
     is_identity,
+    rgs_check_integer,
     rgs_graph_edges,
 )
 
@@ -240,6 +242,24 @@ class TestGraphFromRgs:
             graph_from_rgs([1, 0])
         with pytest.raises(ValueError):
             graph_from_rgs([0, 2])
+
+    def test_accepts_exactly_the_classical_strings(self):
+        # the chordal corollary of rgs_check against the classical definition,
+        # message for message
+        def outcome(fn, e):
+            try:
+                fn(e)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        def classical(e):
+            if not rgs_check_integer(e):
+                raise ValueError("not an integer restricted-growth string")
+
+        for n in range(6):
+            for e in product(range(-1, 5), repeat=n):
+                assert outcome(graph_from_rgs, e) == outcome(classical, e), e
 
     def test_examples(self):
         assert graph_from_rgs([]) == Graph.from_edges(0, [])

@@ -393,6 +393,43 @@ class TestExhaustiveOnlyForMonotoneA:
             ]
 
 
+class TestMinorOrderBound:
+    """--max-minor-order below the matrix size bounds what a scan can claim,
+    and a bound below 1 is refused by every subcommand that takes it."""
+
+    PAIR = ("-a", "0,2,0", "-e", "0,1,-1")  # its first negative minor has order 2
+
+    @pytest.mark.parametrize("order,code,tnn", [
+        ("1", 0, None), ("2", 2, False), ("3", 2, False), ("4", 2, False),
+    ])
+    def test_truncated_scan_claims_nothing(self, capsys, order, code, tnn):
+        argv = ("check", *self.PAIR, "--exhaustive-only", "--max-minor-order", order)
+        got, payload = run_json(capsys, *argv)
+        assert got == code and payload["is_tnn"] is tnn
+        _, out, _ = run_cli(capsys, *argv)
+        assert "verdict: TNN" not in out
+        if tnn is None:
+            assert "verdict: no negative minor up to order 1; TNN not decided" in out
+
+    def test_bound_at_the_matrix_size_decides(self, capsys):
+        code, payload = run_json(capsys, "check", "-a", "0,1,2", "-e", "0,1,1",
+                                 "--exhaustive-only", "--max-minor-order", "4")
+        assert code == 0 and payload["is_tnn"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "-a", "0,1", "-e", "0,1"),
+        ("check", "-a", "0,1", "-e", "0,1", "--exhaustive-only"),
+        ("rook", "-b", "1,2"),
+        ("chordal", "--from-rgs", "0,1"),
+        ("eulerian", "-n", "3"),
+    ])
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_bound_below_one_is_refused(self, capsys, argv, order):
+        code, out, err = run_cli(capsys, *argv, f"--max-minor-order={order}")
+        assert code == 1 and out == ""
+        assert err == f"error: --max-minor-order must be at least 1, got {order}\n"
+
+
 class TestMinorBudget:
     """A minor scan over MAX_MINORS minors stops before evaluating any."""
 

@@ -74,6 +74,8 @@ CASES = [
     *_each_format("check_scan_only_monotone_tnn", "check", *SMALL, "--exhaustive-only"),
     *_each_format("check_scan_only_monotone_not_tnn", "check", "-a", "0,1,2", "-e", "0,2,1",
                   "--exhaustive-only"),
+    *_each_format("check_scan_only_truncated", "check", "-a", "0,2,0", "-e", "0,1,-1",
+                  "--exhaustive-only", "--max-minor-order", "1"),
     _case("check_file", "check", "--file", "@pair.txt"),
     # network
     *_each_format("network_initial", "network", *SMALL),
@@ -134,6 +136,8 @@ CASES = [
     _case("err_check_not_monotone", "check", "-a", "1,0", "-e", "0,0"),
     *_each_format("err_minor_budget_check", "check", "--preset", "stirling2", "-n", "14",
                   "--exhaustive"),
+    _case("err_max_minor_order_zero", "rook", "-b", "1,2", "--max-minor-order", "0"),
+    _case("err_max_minor_order_eulerian", "eulerian", "-n", "3", "--max-minor-order", "0"),
     _case("err_pivot_shape", "network", *SMALL, "--pivot", "1"),
     _case("err_pivot_not_int", "network", *SMALL, "--pivot", "1,x"),
     _case("err_pivot_nonzero", "network", *SMALL, "--pivot", "2,1"),

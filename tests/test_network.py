@@ -4,7 +4,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gstirling.core import SequencePair, TriMatrix
@@ -261,6 +261,20 @@ class TestCertify:
     def test_requires_monotone_a(self):
         with pytest.raises(ValueError):
             certify(sequence_pair([1, 0], [0, 0]))
+
+    @given(monotone_pairs(broken=True))
+    @example(SequencePair((0, 1), (2, 0)))
+    def test_broken_pair_pivots_only_before_the_violation(self, sp):
+        # after a violation the cap pointer is frozen, and a later e_i may
+        # equal a_f by chance (e_2 = a_1 = 0 in the example): no pivot there
+        rep = rgs_check(sp)
+        j, level = rep.violation.index, rep.violation.level
+        hits = tuple((i, f) for i, f in enumerate(rep.cap_indices[:j - 1], start=1)
+                     if sp.e[i - 1] == sp.a[f - 1])
+        trace = certify(sp)
+        assert trace.pivots == hits
+        assert trace.final.weight(j, level) < 0
+        assert not trace.all_nonnegative
 
     def test_pivot_positions_are_nested(self):
         rng = Random(99)

@@ -12,7 +12,6 @@ from gstirling.stirling import (
     eulerian_matrix,
     preset,
     rgs_check,
-    rgs_check_integer,
     sequence_pair,
     stirling_explicit,
     stirling_recurrence,
@@ -27,6 +26,7 @@ from oracles import (
     lah_counts,
     monomial_coeffs,
     partition_counts,
+    rgs_check_integer,
     subset_count,
     tri_mul,
 )

@@ -126,6 +126,8 @@ class SequencePair:
     a: tuple[Fraction, ...]
     e: tuple[Fraction, ...]
     a_nondecreasing: bool = field(init=False)
+    # (L*a + L*e, L): the pair on its integer scale, computed once
+    _ints: tuple[tuple[int, ...], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         a = _coerce(self.a)
@@ -137,6 +139,8 @@ class SequencePair:
         object.__setattr__(
             self, "a_nondecreasing", all(x <= y for x, y in pairwise(a))
         )
+        ints, scale = _to_scale(a + e)
+        object.__setattr__(self, "_ints", (tuple(ints), scale))
 
     @property
     def n(self) -> int:
@@ -144,10 +148,11 @@ class SequencePair:
 
     def scaled(self) -> tuple[list[int], list[int], int]:
         """(L*a, L*e, L) as ints, for L the lcm of every denominator in a
-        and e.  Entry (m,k) of S^{a,e} is homogeneous of degree m-k in
-        (a,e), so S^{La,Le}(m,k) = L^(m-k) S^{a,e}(m,k)."""
-        ints, scale = _to_scale(self.a + self.e)
-        return ints[:self.n], ints[self.n:], scale
+        and e, as fresh lists over values computed once per pair.  Entry
+        (m,k) of S^{a,e} is homogeneous of degree m-k in (a,e), so
+        S^{La,Le}(m,k) = L^(m-k) S^{a,e}(m,k)."""
+        ints, scale = self._ints
+        return list(ints[:self.n]), list(ints[self.n:]), scale
 
 
 class TriMatrix:

@@ -7,10 +7,13 @@ restricted-growth sequence relative to a; the decision procedure returns a
 planar-network certificate in the positive case and a negative entry witness
 in the negative case, with the exhaustive oracle available as a cross-check.
 
-The oracle reads a matrix's ints (TriMatrix) and takes every minor with one
-fraction-free Bareiss kernel, the same one behind det_exact.  Of a
-lower-triangular matrix it visits only the minors that can be nonzero, those
-with cols[i] <= rows[i]: C(s+1) - 1 of them at size s (a Catalan number).
+The oracle reads a matrix's ints (TriMatrix).  Of a lower-triangular
+matrix it visits only the minors that can be nonzero, those with
+cols[i] <= rows[i]: C(s+1) - 1 of them at size s (a Catalan number).  For
+each row set it walks the column sets depth first and shares fraction-free
+(Bareiss) elimination between them: a column set extends its prefix's
+eliminated rows by one pivot step, so each minor costs one update on top of
+its parent's.  det_exact runs the plain Bareiss kernel on one matrix.
 Scans of more than MAX_MINORS minors stop before the first one.  The
 inverse and its sign pattern run on the ints too.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .core import SequencePair, TriMatrix, _to_scale
 from .network import PivotTrace, certify
@@ -113,9 +116,7 @@ def check_scan_budget(size: int, max_order: Optional[int] = None) -> None:
             )
 
 
-def _admissible_cols(
-    rows: tuple[int, ...], low: int = 0
-) -> Iterator[tuple[int, ...]]:
+def _admissible_cols(rows: tuple[int, ...], low: int) -> Iterator[tuple[int, ...]]:
     """Column sets low <= c_0 < c_1 < .. with c_i <= rows[i], in
     lexicographic order."""
     for c in range(low, rows[0] + 1):
@@ -124,6 +125,45 @@ def _admissible_cols(
         else:
             for rest in _admissible_cols(rows[1:], c + 1):
                 yield (c, *rest)
+
+
+def _walk(
+    state: list[Sequence[int]], bounds: tuple[int, ...], low: int,
+    prefix: tuple[int, ...], prev: int, sign: int,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (cols, det) for every column set prefix + (c_j, ..) with
+    low <= c_j < c_{j+1} < .. and c_i <= bounds[i - j], in lexicographic
+    order.
+
+    state holds the rows not yet pivoted, each from column low on, after
+    Bareiss steps on the prefix columns with last pivot prev (1 at the
+    root) and row-order sign.  By Sylvester's identity entry c of such a
+    row is the minor on (pivot rows + that row) x (prefix + c), whatever
+    columns follow, so a child reuses its parent's rows: one more step
+    on column c, with exact division by prev.  A zero pivot takes the
+    first later row nonzero in column c, in the child's own copy; a
+    column zero in every row makes each completion under it 0."""
+    bound = bounds[0]
+    if len(state) == 1:
+        for c, v in zip(range(low, bound + 1), state[0]):
+            yield prefix + (c,), sign * v
+        return
+    for c in range(low, bound + 1):
+        o = c - low
+        cols = prefix + (c,)
+        p = next((i for i, row in enumerate(state) if row[o]), None)
+        if p is None:
+            for rest in _admissible_cols(bounds[1:], c + 1):
+                yield cols + rest, 0
+            continue
+        top = state[p]
+        piv = top[o]
+        tail = top[o + 1:]
+        child = [[(x * piv - row[o] * t) // prev for x, t in zip(row[o + 1:], tail)]
+                 for i, row in enumerate(state) if i != p]
+        # pivoting on row p moves it ahead of p rows: sign (-1)^p
+        yield from _walk(child, bounds[1:], c + 1, cols, piv,
+                         -sign if p & 1 else sign)
 
 
 def iter_minors(
@@ -136,10 +176,13 @@ def iter_minors(
     Only column sets with cols[i] <= rows[i] for every i are visited: any
     other minor of a lower-triangular matrix vanishes identically.  Entry
     (r,c) is ints[r][c] L^c / (D L^r), so the minor on (R, C) is the
-    integer Bareiss determinant of ints[R][C] over D^|R| L^(sum R - sum C);
-    the value is that int when the denominator is 1, else a Fraction.  A
-    scan of more than MAX_MINORS minors (see check_scan_budget) raises
-    ValueError before the first one is yielded."""
+    integer determinant of ints[R][C] over D^|R| L^(sum R - sum C); the
+    value is that int when the denominator is 1, else a Fraction.  The
+    integer determinants of one row set come from one elimination walk
+    over its column sets (_walk), so a scan costs about one Bareiss update
+    per minor rather than one elimination.  A scan of more than MAX_MINORS
+    minors (see check_scan_budget) raises ValueError before the first one
+    is yielded."""
     size = matrix.n + 1
     check_scan_budget(size, max_order)
     ints = [row + (0,) * (size - len(row)) for row in matrix.ints]
@@ -149,8 +192,8 @@ def iter_minors(
         den = matrix.den ** order
         for rows in combinations(range(size), order):
             lift = sum(rows)
-            for cols in _admissible_cols(rows):
-                det = _bareiss([[ints[r][c] for c in cols] for r in rows])
+            state = [ints[r][:rows[-1] + 1] for r in rows]
+            for cols, det in _walk(state, rows, 0, (), 1, 1):
                 q = den * scale ** (lift - sum(cols))
                 yield rows, cols, det if q == 1 else Fraction(det, q)
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import jsonschema
@@ -435,15 +436,27 @@ class TestMinorBudget:
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
+        """The row sets whose column walk starts, in order."""
         calls = []
-        real = gstirling.tnn._bareiss
+        real = gstirling.tnn._walk
 
-        def counted(mat):
-            calls.append(len(mat))
-            return real(mat)
+        def counted(state, bounds, low, prefix, prev, sign):
+            if not prefix:  # the root of one row set's walk
+                calls.append(bounds)
+            return real(state, bounds, low, prefix, prev, sign)
 
-        monkeypatch.setattr(gstirling.tnn, "_bareiss", counted)
+        monkeypatch.setattr(gstirling.tnn, "_walk", counted)
         return calls
+
+    @pytest.mark.parametrize("argv", [
+        ("eulerian", "-n", "3"),
+        ("check", "--preset", "stirling2", "-n", "3", "--exhaustive"),
+    ])
+    def test_a_scan_under_the_budget_is_counted(self, capsys, evaluated, argv):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert evaluated == [rows for k in range(1, 5)
+                             for rows in combinations(range(4), k)]
 
     @pytest.mark.parametrize("argv,count", [
         (("eulerian", "-n", "12"), 2_674_439),

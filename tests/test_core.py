@@ -201,6 +201,17 @@ class TestIntRepresentation:
         assert scale == 12 and a == [6, 12] and e == [4, -3]
         assert SequencePair((), ()).scaled() == ([], [], 1)
 
+    def test_scaled_pair_is_computed_once(self):
+        sp = SequencePair(("1/2", 1), ("1/3", "-0.25"))
+        first = sp.scaled()
+        first[0].append(99)
+        assert sp.scaled() == ([6, 12], [4, -3], 12)
+        # the cached scale is invisible to equality, hashing and repr
+        same = SequencePair((Fraction(1, 2), 1), (Fraction(1, 3), Fraction(-1, 4)))
+        assert sp == same and hash(sp) == hash(same)
+        assert repr(sp) == ("SequencePair(a=(Fraction(1, 2), Fraction(1, 1)), "
+                            "e=(Fraction(1, 3), Fraction(-1, 4)), a_nondecreasing=True)")
+
 
 @pytest.mark.skipif(digit_limit() == 0, reason="this Python has no int/str digit limit")
 class TestDigitLimit:

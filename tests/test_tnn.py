@@ -166,6 +166,50 @@ class TestMinorScanOracle:
         assert is_tnn_exhaustive(m, max_order=2) is None
 
 
+# rows (2, 3) read 0 and 36 in column 1: the walk must pivot on row 3 there,
+# and on row 2 again in the sibling column 2
+ZERO_PIVOT = TriMatrix.scaled(
+    ((1,), (6, 1), (36, 0, 1), (324, 36, 1, 1), (3888, 324, 40, -5, 1)), 6)
+
+
+class TestColumnWalk:
+    """The special paths of the elimination walk behind iter_minors, each
+    against cofactor expansion."""
+
+    def test_zero_pivot_swaps_only_in_its_own_subtree(self):
+        scan = list(iter_minors(ZERO_PIVOT))
+        assert scan == triangular_minors(ZERO_PIVOT.rows)
+        assert ((2, 3), (1, 2), -1) in scan
+        assert ((2, 3), (2, 3), 1) in scan
+
+    def test_all_zero_column_yields_every_completion(self):
+        # S2(m, 0) = 0 for m >= 1: in every row set without row 0 no row
+        # can pivot on column 0, and each minor starting there is 0
+        m = stirling_recurrence(preset("stirling2", 6))
+        scan = list(iter_minors(m))
+        assert scan == triangular_minors(m.rows)
+        assert len(scan) == minor_count(7)
+        assert ((1, 2, 3), (0, 1, 2), 0) in scan
+
+    @pytest.mark.parametrize("max_order", [1, 2, 4])
+    def test_order_cut(self, max_order):
+        m = stirling_recurrence(preset("lah", 6))
+        scan = list(iter_minors(m, max_order))
+        assert scan == triangular_minors(m.rows, max_order)
+        assert len(scan) == minor_count(7, max_order)
+
+    def test_fractional_entries(self):
+        m = TriMatrix((
+            (Fraction(1, 2),),
+            (Fraction(0), Fraction(2, 3)),
+            (Fraction(3, 4), Fraction(0), Fraction(1)),
+            (Fraction(1, 3), Fraction(5, 6), Fraction(0), Fraction(1, 2)),
+            (Fraction(2), Fraction(-1, 2), Fraction(1, 5), Fraction(0), Fraction(3)),
+        ))
+        assert m.den > 1
+        assert list(iter_minors(m)) == triangular_minors(m.rows)
+
+
 class TestScanBudget:
     def test_exact_count_below_the_exact_size(self):
         with pytest.raises(ValueError, match=r"a scan of 2674439 minors exceeds"):

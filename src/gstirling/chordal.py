@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import perm, prod
 from typing import Collection, Optional, Sequence
 
 from .core import SequencePair, TriMatrix, parse_int_token
@@ -184,39 +184,32 @@ def peo_stirling_matrix(report: PeoReport) -> TriMatrix:
     return stirling_recurrence(SequencePair(tuple(range(len(e))), e))
 
 
-def graph_stirling_bruteforce(g: Graph, m: int, k: int) -> int:
-    """Count partitions of {1..m} into exactly k independent blocks by
-    direct enumeration.  Works for any graph; capped at m <= 12."""
+def graph_stirling_bruteforce(g: Graph, m: int) -> list[int]:
+    """The row {G_m brace k} for k = 0..m: one direct enumeration of the
+    partitions of {1..m} into independent blocks, tallied by block count.
+    Works for any graph; capped at m <= 12."""
     if not (0 <= m <= g.n):
         raise ValueError(f"m must be in 0..{g.n}")
     if m > _BRUTEFORCE_CAP:
         raise ValueError(f"brute force capped at {_BRUTEFORCE_CAP} vertices")
-    if k < 0 or k > m:
-        return 1 if (m == 0 and k == 0) else 0
-
-    count = 0
+    counts = [0] * (m + 1)
     blocks: list[list[int]] = []
 
     def place(v: int) -> None:
-        nonlocal count
         if v > m:
-            if len(blocks) == k:
-                count += 1
-            return
-        if len(blocks) + (m - v + 1) < k:
+            counts[len(blocks)] += 1
             return
         for block in blocks:
             if all(not g.adjacent(v, u) for u in block):
                 block.append(v)
                 place(v + 1)
                 block.pop()
-        if len(blocks) < k:
-            blocks.append([v])
-            place(v + 1)
-            blocks.pop()
+        blocks.append([v])
+        place(v + 1)
+        blocks.pop()
 
     place(1)
-    return count
+    return counts
 
 
 def count_proper_colorings(g: Graph, x: int) -> int:
@@ -239,13 +232,6 @@ def count_proper_colorings(g: Graph, x: int) -> int:
     return deeper(1)
 
 
-def falling(x: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
 def chromatic_check(g: Graph, xs: Sequence[int]) -> list[bool]:
     """For each x in xs, compare the proper-coloring count at x against the
     falling-factorial expansion sum_k {G brace k} (x)_k, and, when the label
@@ -259,11 +245,11 @@ def chromatic_check(g: Graph, xs: Sequence[int]) -> list[bool]:
         if x > _COLORING_COLOR_CAP:
             raise ValueError(f"coloring check capped at {_COLORING_COLOR_CAP} colors")
         direct.append(count_proper_colorings(g, x))
-    row = [graph_stirling_bruteforce(g, g.n, k) for k in range(g.n + 1)]
+    row = graph_stirling_bruteforce(g, g.n)
     report = verify_peo(g)
     results = []
     for x, count in zip(xs, direct):
-        ok = count == sum(s * falling(x, k) for k, s in enumerate(row))
+        ok = count == sum(s * perm(x, k) for k, s in enumerate(row))
         if ok and report.is_peo:
             ok = count == prod(x - e for e in report.e_sequence)
         results.append(ok)

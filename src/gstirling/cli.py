@@ -630,6 +630,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_ERROR
     sys.stdout.write(out)
     return code
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
+from math import perm, prod
 from typing import Optional, Sequence
 
 from .core import SequencePair, TriMatrix, parse_int_token
@@ -54,31 +55,30 @@ def parse_board(text: str, source: Optional[str] = None) -> FerrersBoard:
     return FerrersBoard(tuple(items))
 
 
-def rook_numbers_bruteforce(board: FerrersBoard, m: int, k: int) -> int:
-    """Count k-rook non-attacking placements on the first m columns by
-    column-wise enumeration.  Capped at m <= 10."""
+def rook_numbers_bruteforce(board: FerrersBoard, m: int) -> list[int]:
+    """The rook numbers R_k of the first m columns for k = 0..m: one
+    column-wise enumeration of the non-attacking placements, tallied by
+    rook count.  Capped at m <= 10."""
     if not (0 <= m <= board.n):
         raise ValueError(f"m must be in 0..{board.n}")
     if m > _BRUTEFORCE_CAP:
         raise ValueError(f"brute force capped at {_BRUTEFORCE_CAP} columns")
-    if k < 0:
-        return 0
+    counts = [0] * (m + 1)
     used: set[int] = set()
 
-    def walk(col: int, left: int) -> int:
-        if left == 0:
-            return 1
-        if col > m or m - col + 1 < left:
-            return 0
-        total = walk(col + 1, left)
+    def walk(col: int) -> None:
+        if col > m:
+            counts[len(used)] += 1
+            return
+        walk(col + 1)
         for row in range(1, board.heights[col - 1] + 1):
             if row not in used:
                 used.add(row)
-                total += walk(col + 1, left - 1)
+                walk(col + 1)
                 used.remove(row)
-        return total
 
-    return walk(1, k)
+    walk(1)
+    return counts
 
 
 def board_pair(board: FerrersBoard) -> SequencePair:
@@ -96,21 +96,12 @@ def rook_matrix(board: FerrersBoard) -> TriMatrix:
 
 def gjw_check(board: FerrersBoard, m: int | None = None) -> bool:
     """Verify the factorization identity on the first m columns (default:
-    all) at the m+1 points x = 0..m, enough to pin both degree-m sides."""
+    all) at the m+1 points x = 0..m, enough to pin both degree-m sides.
+    The rook numbers come from one brute-force enumeration."""
     m = board.n if m is None else m
-    if not (0 <= m <= board.n):
-        raise ValueError(f"m must be in 0..{board.n}")
-    rooks = [rook_numbers_bruteforce(board, m, j) for j in range(m + 1)]
-    for x in range(m + 1):
-        lhs = 0
-        for k in range(m + 1):
-            term = rooks[m - k]
-            for i in range(k):
-                term *= x - i
-            lhs += term
-        rhs = 1
-        for i in range(1, m + 1):
-            rhs *= x + board.heights[i - 1] - i + 1
-        if lhs != rhs:
-            return False
-    return True
+    rooks = rook_numbers_bruteforce(board, m)
+    return all(
+        sum(rooks[m - k] * perm(x, k) for k in range(m + 1))
+        == prod(x + h - i for i, h in enumerate(board.heights[:m]))
+        for x in range(m + 1)
+    )

@@ -13,7 +13,8 @@ cols[i] <= rows[i]: C(s+1) - 1 of them at size s (a Catalan number).  For
 each row set it walks the column sets depth first and shares fraction-free
 (Bareiss) elimination between them: a column set extends its prefix's
 eliminated rows by one pivot step, so each minor costs one update on top of
-its parent's.  det_exact runs the plain Bareiss kernel on one matrix.
+its parent's.  det_exact takes a square matrix's determinant as the one
+minor that walk yields with rows = cols = (0, .., n-1).
 Scans of more than MAX_MINORS minors stop before the first one.  The
 inverse and its sign pattern run on the ints too.
 """
@@ -45,39 +46,16 @@ class MinorWitness:
     value: Fraction
 
 
-def _bareiss(mat: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination; mat is overwritten."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for p in range(n - 1):
-        if mat[p][p] == 0:
-            swap = next((r for r in range(p + 1, n) if mat[r][p] != 0), None)
-            if swap is None:
-                return 0
-            mat[p], mat[swap] = mat[swap], mat[p]
-            sign = -sign
-        top = mat[p]
-        piv = top[p]
-        for r in range(p + 1, n):
-            row = mat[r]
-            f = row[p]
-            for c in range(p + 1, n):
-                row[c] = (row[c] * piv - f * top[c]) // prev
-            row[p] = 0
-        prev = piv
-    return sign * mat[n - 1][n - 1]
-
-
 def det_exact(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant: clear denominators row by row, run fraction-free
-    Bareiss elimination over the integers, divide the scales back out."""
+    """Exact determinant: clear denominators row by row, take the square
+    integer matrix's one column set through the minor walk (_walk), and
+    divide the scales back out."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
     scaled = [_to_scale(row) for row in rows]
-    return Fraction(_bareiss([ints for ints, _ in scaled]),
-                    prod(mult for _, mult in scaled))
+    ((_, det),) = _walk([ints for ints, _ in scaled], tuple(range(n)), 0, (), 1, 1)
+    return Fraction(det, prod(mult for _, mult in scaled))
 
 
 def minor_count(size: int, max_order: Optional[int] = None) -> int:

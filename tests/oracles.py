@@ -8,7 +8,7 @@ TriMatrix.rows; weight arrays are read only through their n and weight().
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, prod
 
 
 def set_partitions(items):
@@ -45,22 +45,13 @@ def lah_counts(m):
 
 
 def cycle_counts(m):
-    """counts[k] = permutations of {1..m} with exactly k cycles."""
+    """counts[k] = permutations of {1..m} with exactly k cycles.  The cycles'
+    supports form a set partition, and a block of size s carries (s-1)!
+    cyclic orders, so each partition into k blocks stands for
+    prod (|B|-1)! of those permutations."""
     counts = [0] * (m + 1)
-    if m == 0:
-        counts[0] = 1
-        return counts
-    for p in permutations(range(m)):
-        seen = 0
-        cycles = 0
-        for i in range(m):
-            if not (seen >> i) & 1:
-                cycles += 1
-                j = i
-                while not (seen >> j) & 1:
-                    seen |= 1 << j
-                    j = p[j]
-        counts[cycles] += 1
+    for part in set_partitions(range(1, m + 1)):
+        counts[len(part)] += prod(factorial(len(block) - 1) for block in part)
     return counts
 
 

@@ -10,7 +10,6 @@ from gstirling.chordal import (
     PeoFailure,
     chromatic_check,
     count_proper_colorings,
-    falling,
     find_peo,
     graph_from_rgs,
     graph_stirling_bruteforce,
@@ -173,20 +172,21 @@ class TestBruteForce:
     def test_matches_matrix_on_non_peo_prefixes(self):
         # brute force needs no elimination order
         for m in range(CYCLE4.n + 1):
-            for k in range(m + 1):
-                assert graph_stirling_bruteforce(
-                    CYCLE4, m, k
-                ) == independent_partition_count(4, CYCLE4.edges(), m, k)
+            assert graph_stirling_bruteforce(CYCLE4, m) == [
+                independent_partition_count(4, CYCLE4.edges(), m, k)
+                for k in range(m + 1)
+            ]
 
     def test_bounds(self):
         big = Graph.from_edges(13, [])
+        with pytest.raises(ValueError, match="capped at 12 vertices"):
+            graph_stirling_bruteforce(big, 13)
         with pytest.raises(ValueError):
-            graph_stirling_bruteforce(big, 13, 1)
+            graph_stirling_bruteforce(PATH3, 4)
         with pytest.raises(ValueError):
-            graph_stirling_bruteforce(PATH3, 4, 1)
-        assert graph_stirling_bruteforce(PATH3, 3, 0) == 0
-        assert graph_stirling_bruteforce(PATH3, 0, 0) == 1
-        assert graph_stirling_bruteforce(PATH3, 2, 5) == 0
+            graph_stirling_bruteforce(PATH3, -1)
+        assert graph_stirling_bruteforce(PATH3, 3) == [0, 0, 1, 1]
+        assert graph_stirling_bruteforce(PATH3, 0) == [1]
 
 
 class TestColoring:
@@ -196,11 +196,6 @@ class TestColoring:
                 assert count_proper_colorings(g, x) == coloring_count(
                     g.n, g.edges(), x
                 )
-
-    def test_falling_factorial(self):
-        assert falling(5, 0) == 1
-        assert falling(5, 3) == 60
-        assert falling(2, 4) == 0
 
     def test_chromatic_identity(self):
         for g in (PATH3, TRIANGLE, KITE, STAR_FIRST):
@@ -232,7 +227,7 @@ class TestColoring:
             monkeypatch.setattr(gstirling.chordal, name, counted)
         g = graph_from_rgs([0, 1, 0, 2, 1, 3])
         assert chromatic_check(g, [1, 2, 3, 4]) == [True] * 4
-        assert calls == {"graph_stirling_bruteforce": g.n + 1, "verify_peo": 1,
+        assert calls == {"graph_stirling_bruteforce": 1, "verify_peo": 1,
                          "count_proper_colorings": 4}
 
 

@@ -55,6 +55,22 @@ class TestExitCodes:
             main(["matrix", "--method", "nonsense"])
         assert exc.value.code == 1
 
+    def test_out_of_memory_exits_one_without_traceback(self):
+        # a fresh interpreter, so that an escaping MemoryError would print
+        # its traceback to the stderr captured here
+        script = (
+            "import sys, gstirling.cli as cli\n"
+            "def exhausted(args):\n"
+            "    raise MemoryError\n"
+            "cli._RUNNERS['eulerian'] = exhausted\n"
+            "sys.exit(cli.main(['eulerian', '-n', '3']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: out of memory in eulerian\n"
+
     def test_missing_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -58,6 +58,8 @@ CASES = [
     _case("matrix_recurrence_csv", "matrix", "--preset", "binomial", "-n", "3",
           "--method", "recurrence", "--format", "csv"),
     _case("matrix_file", "matrix", "--file", "@pair.txt", "-n", "4"),
+    # power-of-ten denominators print as decimals, others as p/q
+    *_each_format("matrix_decimal", "matrix", "-a", "0.1,0.3", "-e", "0,-0.7"),
     # check
     *_each_format("check_tnn", "check", *SMALL),
     *_each_format("check_provenance", "check", *GROWTH, "--provenance"),
@@ -86,6 +88,8 @@ CASES = [
     _case("network_pivots_provenance", "network", *SMALL, "--pivot", "1,1",
           "--pivot", "2,2", "--provenance"),
     *_each_format("network_certify", "network", *GROWTH, "--certify"),
+    _case("network_certify_decimal", "network", "-a", "0.1,0.3", "-e", "0,-0.7",
+          "--certify"),
     *_each_format("network_certify_negative", "network", *BROKEN, "--certify",
                   "--provenance"),
     # chordal

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+import gstirling.rook
 from gstirling.rook import (
     FerrersBoard,
     board_pair,
@@ -38,28 +39,28 @@ class TestBruteForce:
     def test_full_square(self):
         # k rooks on an m x m square: choose rows and columns, then match
         board = FerrersBoard((4, 4, 4, 4))
-        for k in range(5):
-            expect = comb(4, k) ** 2 * factorial(k)
-            assert rook_numbers_bruteforce(board, 4, k) == expect
+        assert rook_numbers_bruteforce(board, 4) == [
+            comb(4, k) ** 2 * factorial(k) for k in range(5)
+        ]
 
     def test_against_placement_oracle(self):
         boards = [(0,), (1, 1), (1, 2, 4), (2, 2, 2), (0, 1, 1, 3)]
         for hs in boards:
             board = FerrersBoard(hs)
             for m in range(board.n + 1):
-                for k in range(m + 2):
-                    assert rook_numbers_bruteforce(board, m, k) == (
-                        rook_placement_count(hs, m, k)
-                    )
+                assert rook_numbers_bruteforce(board, m) == [
+                    rook_placement_count(hs, m, k) for k in range(m + 1)
+                ]
 
     def test_bounds(self):
         board = FerrersBoard((1,) * 11)
+        with pytest.raises(ValueError, match="^brute force capped at 10 columns$"):
+            rook_numbers_bruteforce(board, 11)
         with pytest.raises(ValueError):
-            rook_numbers_bruteforce(board, 11, 1)
+            rook_numbers_bruteforce(FerrersBoard((1,)), 2)
         with pytest.raises(ValueError):
-            rook_numbers_bruteforce(FerrersBoard((1,)), 2, 0)
-        assert rook_numbers_bruteforce(FerrersBoard((1,)), 1, -1) == 0
-        assert rook_numbers_bruteforce(FerrersBoard(()), 0, 0) == 1
+            rook_numbers_bruteforce(FerrersBoard((1,)), -1)
+        assert rook_numbers_bruteforce(FerrersBoard(()), 0) == [1]
 
 
 class TestBoardPair:
@@ -106,6 +107,20 @@ class TestFactorizationIdentity:
             assert gjw_check(board, m)
         with pytest.raises(ValueError):
             gjw_check(board, 5)
+
+    def test_rook_numbers_taken_once(self, monkeypatch):
+        calls = []
+        real = gstirling.rook.rook_numbers_bruteforce
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gstirling.rook, "rook_numbers_bruteforce", counted)
+        board = FerrersBoard((1, 2, 2, 4, 5))
+        assert gjw_check(board)
+        assert gjw_check(board, 3)
+        assert calls == [(board, 5), (board, 3)]
 
     def test_exhaustive_short_boards(self):
         for n in range(1, 4):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import perm, prod
-from typing import Collection, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import SequencePair, TriMatrix, parse_int_token
 from .stirling import rgs_check, stirling_recurrence
@@ -256,51 +256,24 @@ def chromatic_check(g: Graph, xs: Sequence[int]) -> list[bool]:
     return results
 
 
-def _clique_number(partial: list[set[int]], cand: set[int]) -> int:
-    """Largest clique inside cand, for a graph built vertex by vertex onto
-    cliques: each vertex's earlier neighbours in cand form a clique, so the
-    largest one is some vertex together with them."""
-    return max((1 + sum(1 for u in partial[v] if u < v and u in cand)
-                for v in cand), default=0)
-
-
 def graph_from_rgs(e: Sequence[int]) -> Graph:
     """Build a chordal graph whose elimination e-sequence is the given
     integer restricted-growth string: vertex k is joined to the
     lexicographically first e_k-clique among v_1..v_{k-1}.
 
-    That clique is built greedily: its next vertex is the smallest
-    candidate u whose later candidate neighbours still hold a clique of the
-    remaining size, and those neighbours become the candidates.
-
     e is checked by rgs_check with a = (0, 1, .., n-1), the chordal
-    corollary: on non-negative ints, e_1 = 0 and e_{i+1} <= 1 + max(e_1..e_i)."""
+    corollary: on non-negative ints, e_1 = 0 and e_{i+1} <= 1 + max(e_1..e_i).
+    The walk's cap hits form a clique: the f-th hit has e = f - 1, so it is
+    joined to every earlier hit.  Vertex k has at least e_k hits before it,
+    and the first e_k of them are that clique."""
     if any(v < 0 for v in e):
         raise ValueError("integer restricted-growth strings are non-negative")
-    n = len(e)
-    if not rgs_check(SequencePair(tuple(range(n)), tuple(e))).is_rgs:
+    report = rgs_check(SequencePair(tuple(range(len(e))), tuple(e)))
+    if not report.is_rgs:
         raise ValueError("not an integer restricted-growth string")
-    edges: list[tuple[int, int]] = []
-    partial: list[set[int]] = [set() for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        need = e[k - 1]
-        found: list[int] = []
-        cand: Collection[int] = range(1, k)
-        while len(found) < need:
-            rest = need - len(found) - 1
-            for u in sorted(cand):
-                later = {v for v in partial[u] if v > u and v in cand}
-                if _clique_number(partial, later) >= rest:
-                    found.append(u)
-                    cand = later
-                    break
-            else:
-                raise RuntimeError(f"no {need}-clique available for vertex {k}")
-        for u in found:
-            edges.append((u, k))
-            partial[u].add(k)
-            partial[k].add(u)
-    return Graph.from_edges(n, edges)
+    spine = [i for i, _ in report.hits]
+    return Graph.from_edges(
+        len(e), [(u, k) for k, need in enumerate(e, 1) for u in spine[:need]])
 
 
 @dataclass(frozen=True)

@@ -162,33 +162,26 @@ def certify(sp: SequencePair) -> PivotTrace:
     """Drive the initial array to a non-negative one when e is a
     restricted-growth sequence relative to a (non-decreasing a required).
 
-    Pivots at the cap hits of rgs_check before its violation, if any: a
-    hit e_i = a_f pivots at [i, f], where the weight is exactly 0.  A
-    violation e_i > a_f ends the pivots, leaving the negative weight
-    a_f - e_i exposed at [i, f]; the frozen cap pointer after it marks no
-    hits, even where some later e_i equals a_f.
+    Pivots at the cap hits that rgs_check records before its violation, if
+    any: a hit e_i = a_f pivots at [i, f], where the weight is exactly 0.  A
+    violation e_i > a_f ends the hits, leaving the negative weight a_f - e_i
+    exposed at [i, f]; the frozen cap pointer after it marks no hits, even
+    where some later e_i equals a_f.
     Each pivot checks its weight is 0 and rotates build_initial's e-indices
     in place; the final WeightArray is built once.  The comparisons run on
     the pair's ints (SequencePair.scaled).
     """
     if not sp.a_nondecreasing:
         raise ValueError("certify requires a non-decreasing a-sequence")
-    report = rgs_check(sp)
-    stop = sp.n if report.violation is None else report.violation.index - 1
+    hits = rgs_check(sp).hits
     a, e, _ = sp.scaled()
     e_rows = _initial_e_indices(sp.n)
-    pivots: list[tuple[int, int]] = []
-    for i, f in enumerate(report.cap_indices[:stop], start=1):
-        cap = a[f - 1]
-        if e[i - 1] == cap:
-            if cap != e[e_rows[i - 1][f - 1] - 1]:
-                raise RuntimeError(
-                    f"pivot position [{i},{f}] carries nonzero weight; "
-                    "provenance rewrite rule violated"
-                )
-            _rotate_e_indices(e_rows, i, f)
-            pivots.append((i, f))
+    for i, f in hits:
+        if a[f - 1] != e[e_rows[i - 1][f - 1] - 1]:
+            raise RuntimeError(
+                f"pivot position [{i},{f}] carries nonzero weight; "
+                "provenance rewrite rule violated"
+            )
+        _rotate_e_indices(e_rows, i, f)
     wa = _from_provenance(sp, (enumerate(r, 1) for r in e_rows))
-    return PivotTrace(
-        pivots=tuple(pivots), final=wa, all_nonnegative=wa.all_nonnegative()
-    )
+    return PivotTrace(pivots=hits, final=wa, all_nonnegative=wa.all_nonnegative())

@@ -13,7 +13,8 @@ pair (La, Le) for L the common denominator (SequencePair.scaled), since
 S(m,k) is homogeneous of degree m-k, and return TriMatrix.scaled(ints, L).
 
 rgs_check, the one walk of the growth condition's cap pointer, runs on the
-same integer pair; network.certify and chordal.graph_from_rgs reuse it.
+same integer pair and records its cap hits: network.certify pivots at them,
+and chordal.graph_from_rgs joins each vertex to the first e_k of them.
 """
 
 from __future__ import annotations
@@ -36,17 +37,22 @@ class RgsViolation:
 
 @dataclass(frozen=True)
 class RgsReport:
+    """Cap pointer f(i) per index, the first violation if any, and the cap
+    hits before it: (i, f) for each e_i = a_f, so the f-th hit has level f."""
+
     is_rgs: bool
     cap_indices: tuple[int, ...]
     violation: Optional[RgsViolation]
+    hits: tuple[tuple[int, int], ...]
 
 
 def rgs_check(sp: SequencePair) -> RgsReport:
     """Decide whether e is a restricted-growth sequence relative to a.
 
     The cap pointer starts at f(1) = 1 and advances by one exactly when
-    e_i = a_{f(i)} (a cap hit); the condition is e_i <= a_{f(i)} for every
-    i.  On the first violation the pointer freezes and the report records
+    e_i = a_{f(i)} (a cap hit, recorded as (i, f) just before f advances);
+    the condition is e_i <= a_{f(i)} for every i.  On the first violation
+    the pointer freezes, no later hit is recorded, and the report records
     (index, level).  Requires a non-decreasing.  The comparisons run on the
     pair's ints (SequencePair.scaled).
     """
@@ -55,6 +61,7 @@ def rgs_check(sp: SequencePair) -> RgsReport:
     a, e, _ = sp.scaled()
     f = 1
     caps = []
+    hits = []
     violation = None
     for i, ei in enumerate(e, start=1):
         caps.append(f)
@@ -64,8 +71,10 @@ def rgs_check(sp: SequencePair) -> RgsReport:
         if ei > cap:
             violation = RgsViolation(index=i, level=f)
         elif ei == cap:
+            hits.append((i, f))
             f += 1
-    return RgsReport(is_rgs=violation is None, cap_indices=tuple(caps), violation=violation)
+    return RgsReport(is_rgs=violation is None, cap_indices=tuple(caps),
+                     violation=violation, hits=tuple(hits))
 
 
 def stirling_recurrence(sp: SequencePair) -> TriMatrix:

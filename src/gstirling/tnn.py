@@ -14,7 +14,8 @@ each row set it walks the column sets depth first and shares fraction-free
 (Bareiss) elimination between them: a column set extends its prefix's
 eliminated rows by one pivot step, so each minor costs one update on top of
 its parent's.  det_exact takes a square matrix's determinant as the one
-minor that walk yields with rows = cols = (0, .., n-1).
+minor that walk yields with rows = cols = (0, .., n-1).  A minor has the
+sign of its integer determinant, so is_tnn_exhaustive tests that alone.
 Scans of more than MAX_MINORS minors stop before the first one.  The
 inverse and its sign pattern run on the ints too.
 """
@@ -47,10 +48,14 @@ class MinorWitness:
 
 
 def det_exact(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant: clear denominators row by row, take the square
-    integer matrix's one column set through the minor walk (_walk), and
-    divide the scales back out."""
+    """Exact determinant of a square matrix (else ValueError): clear
+    denominators row by row, take the integer matrix's one column set
+    through the minor walk (_walk), and divide the scales back out."""
     n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"det_exact needs a square matrix: row {i} has "
+                             f"{len(row)} entries, expected {n}")
     if n == 0:
         return Fraction(1)
     scaled = [_to_scale(row) for row in rows]
@@ -164,16 +169,19 @@ def iter_minors(
     size = matrix.n + 1
     check_scan_budget(size, max_order)
     ints = [row + (0,) * (size - len(row)) for row in matrix.ints]
-    scale = matrix.scale
     top = size if max_order is None else min(max_order, size)
     for order in range(1, top + 1):
-        den = matrix.den ** order
         for rows in combinations(range(size), order):
-            lift = sum(rows)
             state = [ints[r][:rows[-1] + 1] for r in rows]
             for cols, det in _walk(state, rows, 0, (), 1, 1):
-                q = den * scale ** (lift - sum(cols))
+                q = _minor_scale(matrix, rows, cols)
                 yield rows, cols, det if q == 1 else Fraction(det, q)
+
+
+def _minor_scale(matrix: TriMatrix, rows: tuple, cols: tuple) -> int:
+    """D^|R| L^(sum R - sum C) > 0: the minor on (R, C) is the integer
+    determinant of ints[R][C] over it."""
+    return matrix.den ** len(rows) * matrix.scale ** (sum(rows) - sum(cols))
 
 
 def is_tnn_exhaustive(
@@ -181,10 +189,13 @@ def is_tnn_exhaustive(
 ) -> Optional[MinorWitness]:
     """Check every minor up to max_order (default: all orders); the first
     strictly negative one in iter_minors order is returned, None if all
-    pass."""
-    for rows, cols, value in iter_minors(matrix, max_order=max_order):
-        if value < 0:
-            return MinorWitness(rows=rows, cols=cols, value=Fraction(value))
+    pass.  The scan tests the signs of the integer determinants, which are
+    the minors' (_minor_scale), so only the witness becomes a Fraction."""
+    ints = TriMatrix.scaled(matrix.ints)
+    for rows, cols, det in iter_minors(ints, max_order=max_order):
+        if det < 0:
+            return MinorWitness(rows=rows, cols=cols,
+                                value=Fraction(det, _minor_scale(matrix, rows, cols)))
     return None
 
 

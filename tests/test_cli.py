@@ -1,18 +1,23 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gstirling.chordal
 import gstirling.cli
 import gstirling.tnn
 from gstirling.cli import main
 from gstirling.core import TriMatrix, format_rational, parse_rational
-from gstirling.stirling import sequence_pair, stirling_recurrence
+from gstirling.stirling import PRESET_NAMES, sequence_pair, stirling_recurrence
 from gstirling.tnn import is_tnn_exhaustive
 
 SCHEMA = json.loads(
@@ -680,6 +685,178 @@ class TestFileInputs:
         code, _, err = run_cli(capsys, "matrix", "-a", "0,1", "-e", "0,1", "-n", "3")
         assert code == 1
         assert "disagrees" in err
+
+
+# tokens a parser must refuse, or that are numbers spelled another way
+_JUNK = ["", "x", "1/0", "3/", "1.5", "1e999999", "0.5", "-1.25", " 2 ", "-1"]
+_COMMANDS = ["matrix", "check", "network", "chordal", "rook", "eulerian"]
+
+
+@st.composite
+def _tokens(draw, values, sort=False, size=None):
+    """Up to six values (size of them, when given) as text; now and then
+    one is swapped for junk."""
+    low, high = (0, 6) if size is None else (size, size)
+    vals = draw(st.lists(values, min_size=low, max_size=high))
+    if sort:
+        vals.sort()
+    text = [str(v) for v in vals]
+    if text and draw(st.integers(0, 5)) == 0:
+        text[draw(st.integers(0, len(text) - 1))] = draw(st.sampled_from(_JUNK))
+    return text
+
+
+@st.composite
+def _growth(draw):
+    """An integer restricted-growth string, or now and then any ints."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_tokens(st.integers(-1, 6)))
+    e = [0][:draw(st.integers(0, 1))]
+    for _ in range(draw(st.integers(0, 5)) if e else 0):
+        e.append(draw(st.integers(0, max(e) + 1)))
+    return [str(v) for v in e]
+
+
+@st.composite
+def _graph_text(draw):
+    n = draw(st.integers(0, 6))
+    label = st.integers(1, max(n, 1))
+    edges = draw(st.lists(st.tuples(label, label).filter(lambda uv: uv[0] != uv[1]),
+                          max_size=8))
+    lines = [f"n {n}", *(f"{u} {v}" for u, v in edges), "# end"]
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["n", "m 3", "1", "1 2 3", "0 1", "n -1"])))
+    return "\n".join(lines)
+
+
+@st.composite
+def _argv(draw):
+    """(argv, files): a command line for one of the six subcommands, and the
+    files it names as (name, bytes) pairs, to be written to one directory.
+    Each takes one input source most of the time, mostly well formed, with
+    sizes and colour counts up to 6."""
+    command = draw(st.sampled_from(_COMMANDS))
+    argv, files = [command], []
+
+    def option(name, value):
+        # a value starting with '-' is attached, so that it stays a value
+        if value.startswith("-"):
+            argv.append(f"{name}={value}" if name.startswith("--") else name + value)
+        else:
+            argv.extend([name, value])
+
+    def maybe(name, values):
+        if draw(st.booleans()):
+            option(name, draw(values))
+
+    def flag(name):
+        if draw(st.booleans()):
+            argv.append(name)
+
+    def add_file(text):
+        tail = draw(st.sampled_from([b"", b"\n", b"\n", b"\xe9\n"]))
+        files.append((f"input-{len(files)}.txt", text.encode() + tail))
+        option("--file", files[-1][0])
+
+    # two sources, or none, now and then; one otherwise
+    sources = draw(st.sampled_from([1] * 10 + [0, 2]))
+    orders = st.sampled_from(["0"] + [str(k) for k in range(1, 8)] * 2)
+    if command in ("matrix", "check", "network"):
+        kinds = draw(st.permutations(["inline", "inline", "preset", "file"]))
+        n = draw(st.integers(0, 6))
+        pair = st.fractions(-3, 6, max_denominator=3)
+        for kind in kinds[:sources]:
+            if kind == "inline":
+                a = draw(_tokens(pair, sort=draw(st.integers(0, 3)) > 0, size=n))
+                e = draw(_tokens(pair, size=n))
+                option("-a", ",".join(a))
+                if draw(st.integers(0, 7)):
+                    option("-e", ",".join(e))
+            elif kind == "preset":
+                option("--preset", draw(st.sampled_from(PRESET_NAMES)))
+                if draw(st.integers(0, 7)):
+                    option("-n", str(n))
+            else:
+                a = draw(_tokens(pair, sort=True, size=n))
+                e = draw(_tokens(pair, size=n))
+                add_file(f"# a then e\n{', '.join(a)}\n{' '.join(e)}\n")
+    if command == "matrix":
+        maybe("--method", st.sampled_from(gstirling.cli.METHODS))
+        flag("--verify-all")
+    elif command == "check":
+        flag("--exhaustive")
+        flag("--exhaustive-only")
+        maybe("--max-minor-order", orders)
+        flag("--provenance")
+    elif command == "network":
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            option("--pivot", draw(st.one_of(
+                st.builds("{},{}".format, st.integers(0, 7), st.integers(0, 7)),
+                st.sampled_from(["1", "a,b", ""]))))
+        flag("--certify")
+        flag("--provenance")
+    elif command == "chordal":
+        for kind in draw(st.permutations(["rgs", "file"]))[:sources]:
+            if kind == "rgs":
+                option("--from-rgs", ",".join(draw(_growth())))
+            else:
+                add_file(draw(_graph_text()))
+        flag("--find-peo")
+        flag("--check-all")
+        maybe("--chromatic", _tokens(st.integers(0, 6)).map(",".join))
+        maybe("--max-minor-order", orders)
+    elif command == "rook":
+        for kind in draw(st.permutations(["inline", "file"]))[:sources]:
+            heights = draw(_tokens(st.integers(0, 6), sort=draw(st.integers(0, 5)) > 0))
+            if kind == "inline":
+                option("-b", ",".join(heights))
+            else:
+                add_file(draw(st.sampled_from([",", "\n"])).join(heights))
+        flag("--gjw")
+        flag("--check-tnn")
+        maybe("--max-minor-order", orders)
+    else:
+        maybe("-n", st.integers(-1, 6).map(str))
+        maybe("--max-minor-order", orders)
+    maybe("--format", st.sampled_from(gstirling.cli.FORMATS))
+    return argv, files
+
+
+def _call_main(argv):
+    """(exit code, stdout, stderr) of main(argv) in this process; argparse's
+    usage errors exit through SystemExit(1)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 1, argv
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestMainFuzz:
+    """Every subcommand keeps the 0/2/1 contract on drawn command lines:
+    no exception escapes, no traceback is printed, JSON results fit the
+    schema and a second run prints the same bytes."""
+
+    @settings(max_examples=300)
+    @given(_argv())
+    def test_exit_contract(self, drawn):
+        argv, files = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files:
+                (Path(tmp) / name).write_bytes(data)
+            argv = [f"{tmp}/{a}" if a.startswith("input-") else a for a in argv]
+            first = _call_main(argv)
+            second = _call_main(argv)
+        code, out, err = first
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if code in (0, 2) and argv[-2:] == ["--format", "json"]:
+            jsonschema.validate(json.loads(out), SCHEMA)
+        assert second == first
 
 
 def test_module_entry_point():

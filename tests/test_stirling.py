@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstirling.core import SequencePair
-from gstirling.network import build_initial, path_matrix
+from gstirling.network import build_initial, certify, path_matrix
 from gstirling.stirling import (
     eulerian_matrix,
     preset,
@@ -30,6 +30,7 @@ from oracles import (
     subset_count,
     tri_mul,
 )
+from strategies import monotone_pairs
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=3)
 
@@ -49,6 +50,7 @@ class TestRgsCheck:
         rep = rgs_check(sequence_pair([0, 1, 2, 3], [0, 1, 1, 2]))
         assert rep.is_rgs
         assert rep.cap_indices == (1, 2, 3, 3)
+        assert rep.hits == ((1, 1), (2, 2), (4, 3))
         assert rep.violation is None
 
     def test_first_entry_violation(self):
@@ -59,6 +61,7 @@ class TestRgsCheck:
     def test_cap_freezes_after_violation(self):
         rep = rgs_check(sequence_pair([0, 1, 2], [1, 0, 0]))
         assert rep.cap_indices == (1, 1, 1)
+        assert rep.hits == ()
 
     def test_violation_after_advance(self):
         rep = rgs_check(sequence_pair([0, 1], [0, 2]))
@@ -70,6 +73,15 @@ class TestRgsCheck:
 
     def test_empty_passes(self):
         assert rgs_check(sequence_pair([], [])).is_rgs
+
+    @given(monotone_pairs())
+    def test_hits_are_the_caps_met_before_the_violation(self, sp):
+        rep = rgs_check(sp)
+        stop = sp.n if rep.violation is None else rep.violation.index - 1
+        hits = tuple((i, f) for i, f in enumerate(rep.cap_indices[:stop], start=1)
+                     if sp.e[i - 1] == sp.a[f - 1])
+        assert rep.hits == hits
+        assert certify(sp).pivots == hits
 
     def test_integer_form(self):
         assert rgs_check_integer([])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import gstirling.tnn
 from gstirling.core import SequencePair, TriMatrix
 from gstirling.stirling import preset, sequence_pair, stirling_recurrence
 from gstirling.tnn import (
@@ -57,6 +58,16 @@ class TestDeterminant:
         # zero leading pivot forces a row swap
         rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
         assert det_exact(rows) == -1
+
+    @pytest.mark.parametrize("rows, bad", [
+        ([[1, 2], [3, 4, 5]], "row 1 has 3 entries, expected 2"),
+        ([[1, 2]], "row 0 has 2 entries, expected 1"),
+        ([[1, 2], [3]], "row 1 has 1 entries, expected 2"),
+    ])
+    def test_refuses_non_square(self, rows, bad):
+        rows = [[Fraction(v) for v in r] for r in rows]
+        with pytest.raises(ValueError, match=bad):
+            det_exact(rows)
 
 
 def _random_unit_lower(rng, n):
@@ -136,6 +147,32 @@ class TestMinorScanOracle:
     @given(lower_triangular(), st.one_of(st.none(), st.integers(1, 5)))
     def test_matches_combination_oracle(self, m, max_order):
         assert list(iter_minors(m, max_order)) == triangular_minors(m.rows, max_order)
+
+    @given(lower_triangular(), st.one_of(st.none(), st.integers(1, 5)))
+    def test_witness_is_the_first_negative_minor(self, m, max_order):
+        negative = [(r, c, v) for r, c, v in triangular_minors(m.rows, max_order)
+                    if v < 0]
+        w = is_tnn_exhaustive(m, max_order)
+        if not negative:
+            assert w is None
+        else:
+            assert (w.rows, w.cols, w.value) == negative[0]
+            assert type(w.value) is Fraction
+
+    def test_full_scan_builds_no_fraction(self, monkeypatch):
+        # L = 6: the scan tests the integer determinants' signs
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(gstirling.tnn, "Fraction", counting)
+        sp = SequencePair(tuple(Fraction(i, 3) for i in range(8)),
+                          tuple(Fraction(-i, 2) for i in range(8)))
+        assert sp.scaled()[2] == 6
+        assert is_tnn_exhaustive(stirling_recurrence(sp)) is None
+        assert calls == []
 
     def test_count_matches_enumeration(self):
         for size in range(1, 9):

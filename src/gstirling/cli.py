@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _esc
 from typing import Optional, Sequence
 
 from .chordal import (
@@ -48,6 +49,7 @@ EXIT_WITNESS = 2
 FORMATS = ("table", "json", "csv")
 METHODS = ("recurrence", "explicit", "symmetric", "network")
 FORMAT_ENV = "GSTIRLING_FORMAT"
+_ITEM_TEXT = {frozenset({str}): _esc, frozenset({int}): int.__repr__}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,13 +212,44 @@ def _entry_json(w) -> Optional[dict]:
     return {"row": w.row, "col": w.col, "value": format_rational(w.value)}
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys,
+    lists, str, int, bool and None; any other type or key raises TypeError.
+    _esc escapes in C; a list of all str or all int (not bool), or of such
+    nonempty lists, is written with no call per item (_ITEM_TEXT)."""
+    if isinstance(obj, str):
+        return _esc(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{_esc(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+    elif isinstance(obj, list):
+        kinds = frozenset(map(type, obj))
+        if text := _ITEM_TEXT.get(kinds):
+            items = list(map(text, obj))
+        elif kinds == {list} and all(obj) and (
+                text := _ITEM_TEXT.get(frozenset(map(type, chain.from_iterable(obj))))):
+            sep = f",\n{inner}  "
+            items = [f"[\n{inner}  {sep.join(map(text, row))}\n{inner}]" for row in obj]
+        else:
+            items = [_dumps(x, inner) for x in obj]
+    else:
+        raise TypeError(f"not JSON output: {type(obj).__name__} {obj!r:.40}")
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{brackets[1]}") if items else brackets
+
+
 def _emit(args: argparse.Namespace, payload: dict, table: list[str],
           grid: Sequence[Sequence[str]] = (), base: int = 0) -> str:
-    """The one path from a result to output bytes.  ``grid`` holds the
-    formatted matrix (or weight array) that csv lists as (m, k, value)
-    triples, with indices counted from ``base``."""
+    """The one path from a result to output bytes; json is written by
+    _dumps.  ``grid`` holds the formatted matrix (or weight array) that csv
+    lists as (m, k, value) triples, with indices counted from ``base``."""
     if args.format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _dumps(payload) + "\n"
     if args.format == "csv":
         lines = ["m,k,value"]
         lines += [f"{m},{k},{v}" for m, row in enumerate(grid, base)

@@ -1,8 +1,9 @@
 """Exact-arithmetic building blocks: rationals, sequence pairs and
 lower-triangular matrices.
 
-Sequences are parsed into `fractions.Fraction`; all that is computed from
-them runs on ints on one scale, the lcm of the denominators (_to_scale,
+Sequences are parsed into `fractions.Fraction`, a short int or p/q token
+straight from its ints (parse_rational); all that is computed from them
+runs on ints on one scale, the lcm of the denominators (_to_scale,
 SequencePair.scaled).  A matrix (TriMatrix) and a weight array
 (network.WeightArray) are int rows plus that scale, rendered straight from
 the ints by format_scaled, so a Fraction is made only where a caller asks
@@ -27,6 +28,7 @@ RationalLike = Union[Fraction, int, str]
 
 # the digits of a decimal literal's exponent, as in 1e-3
 _EXPONENT = re.compile(r"[eE][-+]?(\d+)$")
+_PLAIN = re.compile(r"([-+]?[0-9]{1,18})(?:/([0-9]{1,18}))?")
 
 
 def digit_limit() -> int:
@@ -49,8 +51,11 @@ def parse_rational(text: str) -> Fraction:
     one that would not render back as text: a run of more than digit_limit()
     digits, an exponent beyond that many, or a numerator or denominator
     with more digits.  The text is checked before the value is built, so
-    ``1e999999999`` is refused at once."""
+    ``1e999999999`` is refused at once.  A plain ``p`` or ``p/q`` (q > 0)
+    of up to 18 ASCII digits each, far below any limit, is built at once."""
     text = text.strip()
+    if (plain := _PLAIN.fullmatch(text)) and (den := int(plain[2] or 1)):
+        return Fraction(int(plain[1]), den)
     limit = digit_limit()
     if limit:
         digits = text.replace("_", "")
@@ -105,10 +110,8 @@ def parse_int_token(tok: str, lineno: int, source: Optional[str] = None) -> int:
 
 
 def _coerce(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    out = []
-    for v in values:
-        out.append(parse_rational(v) if isinstance(v, str) else Fraction(v))
-    return tuple(out)
+    return tuple(v if type(v) is Fraction else
+                 parse_rational(v) if isinstance(v, str) else Fraction(v) for v in values)
 
 
 def _to_scale(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -77,11 +77,19 @@ class WeightArray:
         return all(v >= 0 for row in self.ints for v in row)
 
     def render(self) -> list[list[str]]:
-        """The weights as format_rational text, row by row; a weight too
-        long to render is named by its [m,k]."""
-        dens = (None if self.scale == 1
-                else [(self.scale,) * len(row) for row in self.ints])
-        return format_scaled(self.ints, dens, "weights: weight at [{},{}]", base=1)
+        """The weights as format_rational text, row by row, each distinct value
+        formatted once above scale 1; the first overlong weight is named by [m,k]."""
+        label = "weights: weight at [{},{}]"
+        if self.scale == 1:
+            return format_scaled(self.ints, None, label, base=1)
+        values = sorted({v for row in self.ints for v in row})
+        try:
+            (texts,) = format_scaled([values], [[self.scale] * len(values)], label)
+        except ValueError:
+            dens = [(self.scale,) * len(row) for row in self.ints]
+            return format_scaled(self.ints, dens, label, base=1)
+        text = dict(zip(values, texts))
+        return [list(map(text.__getitem__, row)) for row in self.ints]
 
 
 def _initial_e_indices(n: int) -> list[list[int]]:

@@ -170,11 +170,12 @@ def iter_minors(
     check_scan_budget(size, max_order)
     ints = [row + (0,) * (size - len(row)) for row in matrix.ints]
     top = size if max_order is None else min(max_order, size)
+    unit = matrix.den == matrix.scale == 1
     for order in range(1, top + 1):
         for rows in combinations(range(size), order):
             state = [ints[r][:rows[-1] + 1] for r in rows]
             for cols, det in _walk(state, rows, 0, (), 1, 1):
-                q = _minor_scale(matrix, rows, cols)
+                q = 1 if unit else _minor_scale(matrix, rows, cols)
                 yield rows, cols, det if q == 1 else Fraction(det, q)
 
 

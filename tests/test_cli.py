@@ -9,7 +9,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gstirling.chordal
@@ -857,6 +857,39 @@ class TestMainFuzz:
         if code in (0, 2) and argv[-2:] == ["--format", "json"]:
             jsonschema.validate(json.loads(out), SCHEMA)
         assert second == first
+
+
+_json_text = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\n\t\r\x00\x1f\x7f", "é€😀", "\ud800", ""])
+_json_ints = st.integers() | st.integers(min_value=-10**40, max_value=10**40)
+# homogeneous lists take _dumps' one-pass path; bools mixed in must not
+_json_leaves = (st.none() | st.booleans() | _json_ints | _json_text
+                | st.lists(_json_ints | st.booleans(), max_size=4)
+                | st.lists(st.lists(_json_text, max_size=3), max_size=3)
+                | st.lists(st.lists(_json_ints | st.booleans(), max_size=3), max_size=3)
+                | st.lists(st.lists(st.lists(_json_ints, max_size=2), max_size=2),
+                           max_size=2))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_json_text, kids, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestDumps:
+    """cli._dumps writes what json.dumps(indent=2) writes, byte for byte."""
+
+    @settings(max_examples=100)
+    @given(_json_values)
+    @example([[[]], {"": {"a": []}}, [{}], [[1], []], [[True, 1]], [[[1, 2], [3]]],
+              [[1], ["a"]], [["b"], [2, None]]])
+    def test_matches_json_dumps(self, value):
+        assert gstirling.cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, [0, 2.5], {1: "a"}, {"a": {2: []}}, (1, 2)])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            gstirling.cli._dumps(value)
 
 
 def test_module_entry_point():

@@ -50,6 +50,43 @@ class TestSerialization:
         assert parse_rational(format_rational(q)) == q
 
 
+def _fraction_parse(text):
+    """What parse_rational gives a token too short for the digit limit
+    when it goes through Fraction's parser: the value, or the ValueError
+    type and message."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return ValueError, f"not a rational: {text!r}"
+
+
+def _parsed(text):
+    try:
+        return parse_rational(text)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+class TestParseFastPath:
+    """Plain p and p/q tokens are built from their ints; every token
+    parses to what Fraction's parser gives it."""
+
+    @pytest.mark.parametrize("text", [
+        "0", "-0", "+7", "007/3", "3/0", "-3/00", "1/-2",
+        "123456789012345678/987654321098765432", "1234567890123456789",
+        "1_000", "\u0663", " 5/6 ", "1.5", "1e3",
+    ])
+    def test_tokens(self, text):
+        assert _parsed(text) == _fraction_parse(text)
+        if "/0" in text:
+            assert _parsed(text) == (ValueError, f"not a rational: {text!r}")
+
+    @given(st.from_regex(r"[-+]?[0-9]{1,20}/[0-9]{1,20}", fullmatch=True))
+    def test_signed_quotients(self, text):
+        assert _parsed(text) == _fraction_parse(text)
+
+
 class TestSequencePair:
     def test_coercion_and_flag(self):
         sp = SequencePair((0, 1, 2), ("1/2", 0, -1))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gstirling.core import SequencePair, TriMatrix
+from gstirling.core import SequencePair, TriMatrix, digit_limit, format_rational
 from gstirling.network import WeightArray, build_initial, certify, path_matrix, pivot
 from gstirling.stirling import rgs_check, sequence_pair, stirling_recurrence
 from corpus import random_pair, random_rgs_pair, random_weight_array, weight_array
@@ -56,6 +56,35 @@ class TestWeightArray:
         wa = build_initial(sequence_pair([0], [1]))
         with pytest.raises(IndexError):
             wa.weight(2, 1)
+
+
+class TestRender:
+    """Above scale 1 render formats each distinct weight once; the text is
+    still format_rational of each weight, and an overlong one is named."""
+
+    def test_each_entry_renders_as_its_weight(self):
+        rng = Random(11)
+        scales = set()
+        for n in range(1, 13):
+            decimals = weight_array([
+                [Fraction(rng.randint(-40, 40), rng.choice((1, 4, 10, 100)))
+                 for _ in range(m)] for m in range(1, n + 1)])
+            for wa in (random_weight_array(rng, n), decimals,
+                       build_initial(random_pair(rng, n))):
+                scales.add(wa.scale)
+                assert wa.render() == [
+                    [format_rational(wa.weight(m, k)) for k in range(1, m + 1)]
+                    for m in range(1, n + 1)
+                ]
+        assert len(scales - {1}) >= 4
+
+    @pytest.mark.skipif(digit_limit() == 0, reason="this Python has no int/str digit limit")
+    def test_overlong_weight_is_named_above_scale_one(self):
+        big = 10 ** digit_limit() + 1
+        # the smallest distinct value is -big at [3,2]; [2,1] comes first
+        wa = WeightArray(((1,), (big, 3), (5, -big, 7)), scale=2)
+        with pytest.raises(ValueError, match=r"weights: weight at \[2,1\] has more than"):
+            wa.render()
 
 
 class TestPathMatrix:

@@ -15,9 +15,9 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _esc
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .chordal import (
     Graph,
@@ -179,12 +179,22 @@ def _pair_fields(sp: SequencePair) -> tuple[dict, list[str]]:
     return {"a": a, "e": e}, [f"a: {', '.join(a)}", f"e: {', '.join(e)}"]
 
 
-def _aligned(rows: list[list[str]], indent: str = "  ") -> list[str]:
-    width = max((len(c) for row in rows for c in row), default=1)
-    return [indent + " ".join(c.rjust(width) for c in row) for row in rows]
+class _Block(NamedTuple):
+    """A matrix or weight array in a table; _emit aligns it (_array_lines)
+    only for table output.  With provenance, wa labels each weight."""
+
+    grid: Sequence[Sequence[str]]
+    wa: Optional[WeightArray] = None
+    provenance: bool = False
 
 
-def _array_lines(grid: list[list[str]], wa: WeightArray, provenance: bool) -> list[str]:
+def _aligned(rows: Sequence[Sequence[str]], indent: str = "  ") -> list[str]:
+    width = max(map(len, chain.from_iterable(rows)), default=1)
+    return [indent + " ".join(map(str.rjust, row, repeat(width, len(row)))) for row in rows]
+
+
+def _array_lines(grid: Sequence[Sequence[str]], wa: Optional[WeightArray],
+                 provenance: bool) -> list[str]:
     if not provenance:
         return _aligned(grid)
     return _aligned([
@@ -243,11 +253,13 @@ def _dumps(obj, indent: str = "") -> str:
             + f"\n{indent}{brackets[1]}") if items else brackets
 
 
-def _emit(args: argparse.Namespace, payload: dict, table: list[str],
+def _emit(args: argparse.Namespace, payload: dict, table: list,
           grid: Sequence[Sequence[str]] = (), base: int = 0) -> str:
     """The one path from a result to output bytes; json is written by
     _dumps.  ``grid`` holds the formatted matrix (or weight array) that csv
-    lists as (m, k, value) triples, with indices counted from ``base``."""
+    lists as (m, k, value) triples, with indices counted from ``base``.
+    ``table`` holds lines and _Blocks; a block is aligned here, and only
+    for table output."""
     if args.format == "json":
         return _dumps(payload) + "\n"
     if args.format == "csv":
@@ -255,7 +267,9 @@ def _emit(args: argparse.Namespace, payload: dict, table: list[str],
         lines += [f"{m},{k},{v}" for m, row in enumerate(grid, base)
                   for k, v in enumerate(row, base)]
         return "\n".join(lines) + "\n"
-    return "\n".join(table) + "\n"
+    lines = [line for item in table
+             for line in (_array_lines(*item) if isinstance(item, _Block) else (item,))]
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------- commands
@@ -281,13 +295,13 @@ def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
     grid = format_matrix(matrix)
     payload = {"command": "matrix", "n": sp.n, **fields, "method": args.method,
                "verified": verified, "matrix": grid}
-    table = [*header, f"S matrix ({args.method}):", *_aligned(grid)]
+    table = [*header, f"S matrix ({args.method}):", _Block(grid)]
     if verified:
         table.append("routes agree: " + ", ".join(verified))
     return _emit(args, payload, table, grid), EXIT_OK
 
 
-def _certificate(trace, provenance: bool) -> tuple[dict, list[str]]:
+def _certificate(trace, provenance: bool) -> tuple[dict, list]:
     """A pivot certificate as its JSON block and its table lines."""
     grid = trace.final.render()
     block = {"pivots": [list(p) for p in trace.pivots], "final": grid,
@@ -295,7 +309,7 @@ def _certificate(trace, provenance: bool) -> tuple[dict, list[str]]:
     state = ("all weights non-negative" if trace.all_nonnegative
              else "negative weight exposed")
     lines = ["certificate pivots: " + _pivot_list(trace.pivots),
-             f"final array ({state}):", *_array_lines(grid, trace.final, provenance)]
+             f"final array ({state}):", _Block(grid, trace.final, provenance)]
     return block, lines
 
 
@@ -402,18 +416,16 @@ def _run_network(args: argparse.Namespace) -> tuple[str, int]:
     payload = {"command": "network", "n": sp.n, **fields, "initial": initial_grid,
                "applied_pivots": applied, "result": grid if applied else None,
                "certificate": None}
-    table = [*header, "initial array:",
-             *_array_lines(initial_grid, initial, args.provenance)]
+    table = [*header, "initial array:", _Block(initial_grid, initial, args.provenance)]
     if applied:
-        table.append(f"after pivots {_pivot_list(applied)}:")
-        table += _array_lines(grid, wa, args.provenance)
+        table += [f"after pivots {_pivot_list(applied)}:", _Block(grid, wa, args.provenance)]
     code = EXIT_OK
     if trace is not None:
         payload["certificate"], lines = _certificate(trace, args.provenance)
         table += lines
         if not trace.all_nonnegative:
             code = EXIT_WITNESS
-    if args.provenance:
+    if args.provenance and args.format == "json":
         payload["provenance"] = [[list(pair) for pair in row] for row in wa.provenance]
     return _emit(args, payload, table, grid, base=1), code
 
@@ -453,7 +465,7 @@ def _run_chordal(args: argparse.Namespace) -> tuple[str, int]:
     grid = format_matrix(matrix)
     payload["matrix"] = grid
     table += ["order verified: perfect elimination order", "graph Stirling matrix:",
-              *_aligned(grid)]
+              _Block(grid)]
     code = EXIT_OK
     if args.check_all or xs:
         checks: dict = {}
@@ -503,7 +515,7 @@ def _run_rook(args: argparse.Namespace) -> tuple[str, int]:
         f"heights: {', '.join(map(str, board.heights))}",
         *header,
         "rook matrix (entry (m,k) = #placements of m-k rooks on first m columns):",
-        *_aligned(grid),
+        _Block(grid),
     ]
     code = EXIT_OK
     if args.gjw:
@@ -538,7 +550,7 @@ def _run_eulerian(args: argparse.Namespace) -> tuple[str, int]:
     grid = format_matrix(matrix)
     payload = {"command": "eulerian", "n": args.n, "matrix": grid,
                "minors_checked": checked, "witness": witness}
-    table = [f"Eulerian triangle up to n = {args.n}:", *_aligned(grid),
+    table = [f"Eulerian triangle up to n = {args.n}:", _Block(grid),
              f"minors checked: {checked}"]
     if witness is None:
         table.append("no negative minor found")

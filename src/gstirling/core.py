@@ -19,9 +19,9 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice, pairwise, repeat
+from itertools import accumulate, islice, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import le, mul
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -139,10 +139,10 @@ class SequencePair:
             raise ValueError(f"length mismatch: len(a)={len(a)} len(e)={len(e)}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "e", e)
-        object.__setattr__(
-            self, "a_nondecreasing", all(x <= y for x, y in pairwise(a))
-        )
         ints, scale = _to_scale(a + e)
+        n = len(a)
+        # L > 0, so the scaled ints of a are in the order of a
+        object.__setattr__(self, "a_nondecreasing", all(map(le, ints[:n], ints[1:n])))
         object.__setattr__(self, "_ints", (tuple(ints), scale))
 
     @property

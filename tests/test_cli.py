@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -589,6 +590,48 @@ class TestNoPathReadsTheRowsView:
         assert run_cli(capsys, *argv, "--format", fmt) == want
 
 
+class TestTableBuiltLazily:
+    """Aligned table lines are built in _emit, and only for table output."""
+
+    CASES = {
+        "matrix": ("matrix", "-a", "1/2,-1,3", "-e", "0,1/3,2"),
+        "check-provenance": ("check", "-a", "0,1,1,2", "-e", "0,1,0,1", "--provenance"),
+        "network-certify": ("network", "-a", "0,1/2,1/2,1", "-e", "0,1/2,0,1/3",
+                            "--certify", "--provenance"),
+        "chordal": ("chordal", "--from-rgs", "0,1,0,2,1,3"),
+        "rook": ("rook", "-b", "1,2,2,3"),
+        "eulerian": ("eulerian", "-n", "4"),
+    }
+
+    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
+    @pytest.mark.parametrize("fmt", gstirling.cli.FORMATS)
+    def test_aligned_only_for_table(self, capsys, monkeypatch, argv, fmt):
+        want = run_cli(capsys, *argv, "--format", fmt)
+        calls = []
+        real = gstirling.cli._aligned
+        monkeypatch.setattr(gstirling.cli, "_aligned",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert run_cli(capsys, *argv, "--format", fmt) == want
+        if fmt == "table":
+            assert calls
+        else:
+            assert calls == []
+
+
+_cells = st.text(alphabet="0123456789-/a=", max_size=6)
+
+
+class TestAligned:
+    @given(st.lists(st.lists(_cells, max_size=5), max_size=5))
+    @example([])
+    @example([[]])
+    @example([[], ["1"], ["-12/7", "3"]])
+    def test_matches_per_cell_formula(self, rows):
+        width = max((len(c) for row in rows for c in row), default=1)
+        want = ["  " + " ".join(c.rjust(width) for c in row) for row in rows]
+        assert gstirling.cli._aligned(rows) == want
+
+
 class TestParserOnce:
     def test_built_once_across_calls(self, capsys, monkeypatch):
         built = []
@@ -890,6 +933,44 @@ class TestDumps:
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             gstirling.cli._dumps(value)
+
+
+def _readme_examples():
+    """Each ``$ gstirling ...`` example in README.md as [argv, stdout, exit
+    code or None]: stdout is the lines up to the next ``$`` line or the end
+    of the block, the exit code the line after a following ``$ echo $?``."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    examples = []
+    for block in text.split("```")[1::2]:
+        field = None
+        for line in block.splitlines(keepends=True)[1:]:
+            if line.startswith("$ gstirling "):
+                examples.append([shlex.split(line[2:])[1:], "", None])
+                field = 1
+            elif line == "$ echo $?\n":
+                field = 2
+            elif field == 1:
+                examples[-1][1] += line
+            elif field == 2:
+                examples[-1][2] = int(line)
+                field = None
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) == 4
+
+
+@pytest.mark.parametrize("argv, stdout, code", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _, _ in README_EXAMPLES])
+def test_readme_example(capsys, argv, stdout, code):
+    got_code, out, _ = run_cli(capsys, *argv, "--format", "table")
+    assert out == stdout
+    if code is not None:
+        assert got_code == code
 
 
 def test_module_entry_point():

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gstirling.core import (
@@ -105,6 +105,15 @@ class TestSequencePair:
     def test_empty(self):
         sp = SequencePair((), ())
         assert sp.n == 0 and sp.a_nondecreasing
+
+    @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=6))
+    @example([])
+    @example([Fraction(-1, 2)])
+    @example([Fraction(-2, 3), Fraction(-2, 3), Fraction(1, 3)])
+    @example([Fraction(1, 3), Fraction(-1, 2)])
+    def test_flag_matches_fraction_order(self, a):
+        sp = SequencePair(a, [Fraction(1, 7)] * len(a))
+        assert sp.a_nondecreasing == all(x <= y for x, y in zip(a, a[1:]))
 
 
 class TestTriMatrix:

@@ -9,15 +9,17 @@ in the negative case, with the exhaustive oracle available as a cross-check.
 
 The oracle reads a matrix's ints (TriMatrix).  Of a lower-triangular
 matrix it visits only the minors that can be nonzero, those with
-cols[i] <= rows[i]: C(s+1) - 1 of them at size s (a Catalan number).  For
-each row set it walks the column sets depth first and shares fraction-free
-(Bareiss) elimination between them: a column set extends its prefix's
-eliminated rows by one pivot step, so each minor costs one update on top of
-its parent's.  det_exact takes a square matrix's determinant as the one
-minor that walk yields with rows = cols = (0, .., n-1).  A minor has the
-sign of its integer determinant, so is_tnn_exhaustive tests that alone.
-Scans of more than MAX_MINORS minors stop before the first one.  The
-inverse and its sign pattern run on the ints too.
+cols[i] <= rows[i]: C(s+1) - 1 of them at size s (a Catalan number).  It
+goes order by order and keeps only the minors of the two orders below:
+by Sylvester's (Desnanot-Jacobi) identity each minor of order k >= 2 is
+one exact division of a 2 x 2 determinant of order k-1 minors by an order
+k-2 one, its core.  A zero core is replaced by another pair of rows with
+a nonzero one; where there is none, the rows have too low a rank for any
+minor over the core to be nonzero.  A minor has the sign of its integer
+determinant, so is_tnn_exhaustive tests that alone.  Scans of more than
+MAX_MINORS minors stop before the first one.  det_exact is fraction-free
+(Bareiss) elimination, and the inverse and its sign pattern run on the
+ints too.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 from .core import SequencePair, TriMatrix, _to_scale
 from .network import PivotTrace, certify
@@ -49,18 +51,29 @@ class MinorWitness:
 
 def det_exact(rows: list[list[Fraction]]) -> Fraction:
     """Exact determinant of a square matrix (else ValueError): clear
-    denominators row by row, take the integer matrix's one column set
-    through the minor walk (_walk), and divide the scales back out."""
+    denominators row by row, run fraction-free (Bareiss) elimination on
+    the ints, pivoting on the first row nonzero in each column, and divide
+    the scales back out."""
     n = len(rows)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"det_exact needs a square matrix: row {i} has "
                              f"{len(row)} entries, expected {n}")
-    if n == 0:
-        return Fraction(1)
     scaled = [_to_scale(row) for row in rows]
-    ((_, det),) = _walk([ints for ints, _ in scaled], tuple(range(n)), 0, (), 1, 1)
-    return Fraction(det, prod(mult for _, mult in scaled))
+    state = [ints for ints, _ in scaled]
+    prev, sign = 1, 1  # the last pivot ends as the determinant, up to sign
+    while state:
+        p = next((i for i, row in enumerate(state) if row[0]), None)
+        if p is None:
+            return Fraction(0)
+        top = state.pop(p)
+        piv = top[0]
+        state = [[(x * piv - row[0] * t) // prev for x, t in zip(row[1:], top[1:])]
+                 for row in state]
+        prev = piv
+        # pivoting on row p moves it ahead of p rows: sign (-1)^p
+        sign = -sign if p & 1 else sign
+    return Fraction(sign * prev, prod(mult for _, mult in scaled))
 
 
 def minor_count(size: int, max_order: Optional[int] = None) -> int:
@@ -99,54 +112,74 @@ def check_scan_budget(size: int, max_order: Optional[int] = None) -> None:
             )
 
 
-def _admissible_cols(rows: tuple[int, ...], low: int) -> Iterator[tuple[int, ...]]:
-    """Column sets low <= c_0 < c_1 < .. with c_i <= rows[i], in
-    lexicographic order."""
-    for c in range(low, rows[0] + 1):
-        if len(rows) == 1:
-            yield (c,)
-        else:
-            for rest in _admissible_cols(rows[1:], c + 1):
-                yield (c, *rest)
+def _row_minors(
+    ints: list[list[int]], rows: tuple[int, ...], one: dict, two: dict,
+    zeros: list[list[int]],
+) -> dict[tuple[int, ...], list[int]]:
+    """The integer minors on rows as {prefix: v}, prefixes in lexicographic
+    order, with v[t] = det(rows, prefix + (lo + t,)) for lo = prefix[-1] + 1
+    (0 for the empty prefix) up to the last column rows[-1].  one and two
+    map every row set one and two smaller to the same.
+
+    With rows = R0 + (i, j), Sylvester's identity on the core R0 x c0
+    gives det(rows, c0 + (p, q)) = (X[p] Y[q] - X[q] Y[p]) // det(R0, c0),
+    where X[c], Y[c] are the minors on (R0 + (i,), c0 + (c,)) and (R0 +
+    (j,), c0 + (c,)), X[c] = 0 for c > i.  The identity holds for any two
+    rows x < y of rows in place of i, j, so a zero core is replaced by one
+    on rows - {x, y} that is nonzero (_other_core).  Where there is none,
+    no minor on rows less one row and c0 plus one column is nonzero, so
+    the block rows x (c0 + (p,)) has rank below k - 1 for k = len(rows),
+    and rows x (c0 + (p, q)) below k: its minor is 0."""
+    k = len(rows)
+    if k == 1:
+        return {(): ints[rows[0]]}
+    core, (i, j) = rows[:-2], rows[-2:]
+    sx, sy = one[core + (i,)], one[core + (j,)]
+    cores = (((), 1),) if k == 2 else (
+        (c + (col,), d) for c, v in two[core].items()
+        for col, d in enumerate(v, c[-1] + 1 if c else 0))
+    out = {}
+    subs = None
+    for c0, d in cores:
+        lo = c0[-1] + 1 if c0 else 0
+        x_vec, y_vec = sx[c0], sy[c0]
+        if not d:
+            if subs is None:
+                subs = [one[rows[:x] + rows[x + 1:]] for x in range(k)]
+            other = _other_core(rows, c0, [s[c0] for s in subs], two)
+            if other is None:
+                for p in range(lo, i + 1):
+                    out[c0 + (p,)] = zeros[j - p]
+                continue
+            d, x_vec, y_vec = other
+        x_vec = x_vec + zeros[len(y_vec) - len(x_vec)]
+        for p, xp, yp in zip(range(lo, i + 1), x_vec, y_vec):
+            t = p - lo + 1
+            out[c0 + (p,)] = [(xp * y - yp * x) // d
+                              for x, y in zip(x_vec[t:], y_vec[t:])]
+    return out
 
 
-def _walk(
-    state: list[Sequence[int]], bounds: tuple[int, ...], low: int,
-    prefix: tuple[int, ...], prev: int, sign: int,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (cols, det) for every column set prefix + (c_j, ..) with
-    low <= c_j < c_{j+1} < .. and c_i <= bounds[i - j], in lexicographic
-    order.
-
-    state holds the rows not yet pivoted, each from column low on, after
-    Bareiss steps on the prefix columns with last pivot prev (1 at the
-    root) and row-order sign.  By Sylvester's identity entry c of such a
-    row is the minor on (pivot rows + that row) x (prefix + c), whatever
-    columns follow, so a child reuses its parent's rows: one more step
-    on column c, with exact division by prev.  A zero pivot takes the
-    first later row nonzero in column c, in the child's own copy; a
-    column zero in every row makes each completion under it 0."""
-    bound = bounds[0]
-    if len(state) == 1:
-        for c, v in zip(range(low, bound + 1), state[0]):
-            yield prefix + (c,), sign * v
-        return
-    for c in range(low, bound + 1):
-        o = c - low
-        cols = prefix + (c,)
-        p = next((i for i, row in enumerate(state) if row[o]), None)
-        if p is None:
-            for rest in _admissible_cols(bounds[1:], c + 1):
-                yield cols + rest, 0
-            continue
-        top = state[p]
-        piv = top[o]
-        tail = top[o + 1:]
-        child = [[(x * piv - row[o] * t) // prev for x, t in zip(row[o + 1:], tail)]
-                 for i, row in enumerate(state) if i != p]
-        # pivoting on row p moves it ahead of p rows: sign (-1)^p
-        yield from _walk(child, bounds[1:], c + 1, cols, piv,
-                         -sign if p & 1 else sign)
+def _other_core(
+    rows: tuple[int, ...], c0: tuple[int, ...], vecs: list[list[int]], two: dict,
+) -> Optional[tuple[int, list[int], list[int]]]:
+    """Another core for a zero core det(rows[:-2], c0), where vecs[x] is
+    the vector of (rows - {rows[x]}, c0): (d, vecs[b], vecs[a]) for a < b
+    with d = det(rows - {rows[a], rows[b]}, c0) nonzero, the pair taken
+    as the first x with vecs[x] nonzero and then the first y; None when
+    every vector is zero.  The search for y cannot fail: by Laplace
+    expansion on its last column, a nonzero minor on rows - {rows[x]} has
+    a nonzero core in rows - {rows[x], rows[y]} for some y."""
+    x = next((x for x, v in enumerate(vecs) if any(v)), None)
+    if x is None:
+        return None
+    lo = c0[-2] + 1 if len(c0) > 1 else 0
+    for y in range(len(rows)):
+        a, b = min(x, y), max(x, y)
+        if a != b:
+            d = two[rows[:a] + rows[a + 1:b] + rows[b + 1:]][c0[:-1]][c0[-1] - lo]
+            if d:
+                return d, vecs[b], vecs[a]
 
 
 def iter_minors(
@@ -160,23 +193,32 @@ def iter_minors(
     other minor of a lower-triangular matrix vanishes identically.  Entry
     (r,c) is ints[r][c] L^c / (D L^r), so the minor on (R, C) is the
     integer determinant of ints[R][C] over D^|R| L^(sum R - sum C); the
-    value is that int when the denominator is 1, else a Fraction.  The
-    integer determinants of one row set come from one elimination walk
-    over its column sets (_walk), so a scan costs about one Bareiss update
-    per minor rather than one elimination.  A scan of more than MAX_MINORS
-    minors (see check_scan_budget) raises ValueError before the first one
-    is yielded."""
+    value is that int when the denominator is 1, else a Fraction.
+
+    The scan goes order by order, one row set at a time (_row_minors): an
+    integer minor of order 2 and up is one Sylvester step on stored minors
+    of the two orders below, with another pair of rows where the core
+    minor is 0, or 0 by rank where no pair has a nonzero core.  Only those
+    two orders are kept, at most MAX_MINORS minors.  A scan of more than
+    MAX_MINORS minors (see check_scan_budget) raises ValueError before the
+    first one is yielded."""
     size = matrix.n + 1
     check_scan_budget(size, max_order)
-    ints = [row + (0,) * (size - len(row)) for row in matrix.ints]
+    ints = [list(row) for row in matrix.ints]
     top = size if max_order is None else min(max_order, size)
     unit = matrix.den == matrix.scale == 1
+    zeros = [[0] * k for k in range(size)]
+    one = two = {}
     for order in range(1, top + 1):
+        cur = {}
         for rows in combinations(range(size), order):
-            state = [ints[r][:rows[-1] + 1] for r in rows]
-            for cols, det in _walk(state, rows, 0, (), 1, 1):
-                q = 1 if unit else _minor_scale(matrix, rows, cols)
-                yield rows, cols, det if q == 1 else Fraction(det, q)
+            cur[rows] = vecs = _row_minors(ints, rows, one, two, zeros)
+            for prefix, v in vecs.items():
+                for c, det in enumerate(v, prefix[-1] + 1 if prefix else 0):
+                    cols = prefix + (c,)
+                    q = 1 if unit else _minor_scale(matrix, rows, cols)
+                    yield rows, cols, det if q == 1 else Fraction(det, q)
+        one, two = cur, one
 
 
 def _minor_scale(matrix: TriMatrix, rows: tuple, cols: tuple) -> int:

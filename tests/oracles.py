@@ -376,3 +376,70 @@ def lindstrom_minor(wa, rows, cols):
 
     descend(0, frozenset(), Fraction(1))
     return total
+
+
+def _admissible_cols(rows, low):
+    """Column sets low <= c_0 < c_1 < .. with c_i <= rows[i], in
+    lexicographic order."""
+    for c in range(low, rows[0] + 1):
+        if len(rows) == 1:
+            yield (c,)
+        else:
+            for rest in _admissible_cols(rows[1:], c + 1):
+                yield (c, *rest)
+
+
+def _walk(state, bounds, low, prefix, prev, sign):
+    """Yield (cols, det) for every column set prefix + (c_j, ..) with
+    low <= c_j < c_{j+1} < .. and c_i <= bounds[i - j], in lexicographic
+    order.
+
+    state holds the rows not yet pivoted, each from column low on, after
+    Bareiss steps on the prefix columns with last pivot prev (1 at the
+    root) and row-order sign.  By Sylvester's identity entry c of such a
+    row is the minor on (pivot rows + that row) x (prefix + c), whatever
+    columns follow, so a child reuses its parent's rows: one more step
+    on column c, with exact division by prev.  A zero pivot takes the
+    first later row nonzero in column c, in the child's own copy; a
+    column zero in every row makes each completion under it 0."""
+    bound = bounds[0]
+    if len(state) == 1:
+        for c, v in zip(range(low, bound + 1), state[0]):
+            yield prefix + (c,), sign * v
+        return
+    for c in range(low, bound + 1):
+        o = c - low
+        cols = prefix + (c,)
+        p = next((i for i, row in enumerate(state) if row[o]), None)
+        if p is None:
+            for rest in _admissible_cols(bounds[1:], c + 1):
+                yield cols + rest, 0
+            continue
+        top = state[p]
+        piv = top[o]
+        tail = top[o + 1:]
+        child = [[(x * piv - row[o] * t) // prev for x, t in zip(row[o + 1:], tail)]
+                 for i, row in enumerate(state) if i != p]
+        # pivoting on row p moves it ahead of p rows: sign (-1)^p
+        yield from _walk(child, bounds[1:], c + 1, cols, piv,
+                         -sign if p & 1 else sign)
+
+
+def walk_minors(matrix, max_order=None):
+    """(rows, cols, value) for every minor of a TriMatrix whose column set
+    satisfies cols[i] <= rows[i], in the minor scan's order, by a
+    fraction-free (Bareiss) elimination walk over each row set's column
+    sets: a column set extends its prefix's eliminated rows by one pivot
+    step.  The scan's order-by-order Sylvester steps share nothing with
+    it but the integer entries."""
+    size = matrix.n + 1
+    ints = [row + (0,) * (size - len(row)) for row in matrix.ints]
+    top = size if max_order is None else min(max_order, size)
+    unit = matrix.den == matrix.scale == 1
+    for order in range(1, top + 1):
+        for rows in combinations(range(size), order):
+            state = [ints[r][:rows[-1] + 1] for r in rows]
+            for cols, det in _walk(state, rows, 0, (), 1, 1):
+                q = 1 if unit else (matrix.den ** len(rows)
+                                    * matrix.scale ** (sum(rows) - sum(cols)))
+                yield rows, cols, det if q == 1 else Fraction(det, q)

@@ -458,16 +458,15 @@ class TestMinorBudget:
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
-        """The row sets whose column walk starts, in order."""
+        """The row sets whose minors are worked out, in order."""
         calls = []
-        real = gstirling.tnn._walk
+        real = gstirling.tnn._row_minors
 
-        def counted(state, bounds, low, prefix, prev, sign):
-            if not prefix:  # the root of one row set's walk
-                calls.append(bounds)
-            return real(state, bounds, low, prefix, prev, sign)
+        def counted(ints, rows, one, two, zeros):
+            calls.append(rows)
+            return real(ints, rows, one, two, zeros)
 
-        monkeypatch.setattr(gstirling.tnn, "_walk", counted)
+        monkeypatch.setattr(gstirling.tnn, "_row_minors", counted)
         return calls
 
     @pytest.mark.parametrize("argv", [

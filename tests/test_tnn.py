@@ -4,12 +4,12 @@ from random import Random
 from time import perf_counter
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gstirling.tnn
 from gstirling.core import SequencePair, TriMatrix
-from gstirling.stirling import preset, sequence_pair, stirling_recurrence
+from gstirling.stirling import eulerian_matrix, preset, sequence_pair, stirling_recurrence
 from gstirling.tnn import (
     MAX_MINORS,
     EntryWitness,
@@ -29,6 +29,7 @@ from oracles import (
     tri_mul,
     triangular_minors,
     unit_lower_inverse_rows,
+    walk_minors,
 )
 from strategies import monotone_pairs
 
@@ -203,15 +204,17 @@ class TestMinorScanOracle:
         assert is_tnn_exhaustive(m, max_order=2) is None
 
 
-# rows (2, 3) read 0 and 36 in column 1: the walk must pivot on row 3 there,
-# and on row 2 again in the sibling column 2
+# rows (2, 3) read 0 and 36 in column 1: the order-1 minor on (2,) x (1,)
+# is a zero core for row set (2, 3, 4), which takes its Sylvester step on
+# another pair of rows; an elimination would pivot on row 3 there, and on
+# row 2 again in the sibling column 2
 ZERO_PIVOT = TriMatrix.scaled(
     ((1,), (6, 1), (36, 0, 1), (324, 36, 1, 1), (3888, 324, 40, -5, 1)), 6)
 
 
 class TestColumnWalk:
-    """The special paths of the elimination walk behind iter_minors, each
-    against cofactor expansion."""
+    """Matrices whose zero entries an elimination must pivot around, each
+    scanned against cofactor expansion."""
 
     def test_zero_pivot_swaps_only_in_its_own_subtree(self):
         scan = list(iter_minors(ZERO_PIVOT))
@@ -245,6 +248,50 @@ class TestColumnWalk:
         ))
         assert m.den > 1
         assert list(iter_minors(m)) == triangular_minors(m.rows)
+
+
+@st.composite
+def sparse_int_lower(draw, max_size=9):
+    size = draw(st.integers(1, max_size))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    return TriMatrix.scaled([draw(st.lists(entry, min_size=m + 1, max_size=m + 1))
+                             for m in range(size)])
+
+
+class TestSylvesterSteps:
+    """The order-by-order scan against the elimination walk it replaced
+    (walk_minors), with each way around a zero core shown to run."""
+
+    @settings(max_examples=30)
+    @given(sparse_int_lower(), st.one_of(st.none(), st.integers(1, 4)))
+    def test_matches_the_elimination_walk(self, m, max_order):
+        assert list(iter_minors(m, max_order)) == list(walk_minors(m, max_order))
+
+    @pytest.fixture
+    def other_cores(self, monkeypatch):
+        """What each zero core is replaced by: None for a block of zeros."""
+        results = []
+        real = gstirling.tnn._other_core
+
+        def counted(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(gstirling.tnn, "_other_core", counted)
+        return results
+
+    # S2(m, 0) = 0 for m >= 1: a zero core of stirling2 takes column 0
+    # without row 0, and so does every minor on its block, which is 0 too
+    @pytest.mark.parametrize("m", [
+        TriMatrix(identity_rows(7)), stirling_recurrence(preset("stirling2", 6))])
+    def test_all_zero_blocks(self, other_cores, m):
+        assert list(iter_minors(m)) == list(walk_minors(m))
+        assert other_cores and set(other_cores) == {None}
+
+    @pytest.mark.parametrize("m", [ZERO_PIVOT, eulerian_matrix(6)])
+    def test_another_pair_of_rows(self, other_cores, m):
+        assert list(iter_minors(m)) == list(walk_minors(m))
+        assert other_cores and None not in other_cores
 
 
 class TestScanBudget:

@@ -213,23 +213,32 @@ def graph_stirling_bruteforce(g: Graph, m: int) -> list[int]:
 
 
 def count_proper_colorings(g: Graph, x: int) -> int:
-    """Number of proper colorings with colors {1..x}, by backtracking."""
+    """Number of proper colorings with colors {1..x}, by a dynamic programme
+    over vertex bitmasks: color c takes an independent T within S (maybe
+    empty), so ways_c(S) = sum of ways_{c-1}(S - T) over such T, ways_0(S)
+    = [S empty], and the count is ways_x(V), in O(x 3^n) steps.  It reads
+    the edges alone, no partition count or elimination order, so it checks
+    both."""
     if x < 0:
         raise ValueError("color count must be non-negative")
-    colors = [0] * (g.n + 1)
-
-    def deeper(v: int) -> int:
-        if v > g.n:
-            return 1
-        total = 0
-        for c in range(1, x + 1):
-            if all(colors[u] != c for u in g.adj[v - 1] if u < v):
-                colors[v] = c
-                total += deeper(v + 1)
-        colors[v] = 0
-        return total
-
-    return deeper(1)
+    full = (1 << g.n) - 1
+    nbrs = [sum(1 << (u - 1) for u in adj) for adj in g.adj]
+    independent = [True] * (full + 1)
+    for s in range(1, full + 1):
+        rest = s & (s - 1)  # s less its lowest vertex
+        independent[s] = independent[rest] and not nbrs[(s ^ rest).bit_length() - 1] & rest
+    ways = [1] + [0] * full
+    for _ in range(x):
+        grown = []
+        for s in range(full + 1):
+            total, t = ways[s], s  # ways[s] is the empty t
+            while t:
+                if independent[t]:
+                    total += ways[s ^ t]
+                t = (t - 1) & s
+            grown.append(total)
+        ways = grown
+    return ways[full]
 
 
 def chromatic_check(g: Graph, xs: Sequence[int]) -> list[bool]:

@@ -5,12 +5,14 @@ Sequences are parsed into `fractions.Fraction`, a short int or p/q token
 straight from its ints (parse_rational); all that is computed from them
 runs on ints on one scale, the lcm of the denominators (_to_scale,
 SequencePair.scaled).  A matrix (TriMatrix) and a weight array
-(network.WeightArray) are int rows plus that scale, rendered straight from
-the ints by format_scaled, so a Fraction is made only where a caller asks
-for a value.  The helpers here own the text serialization contract: a
-rational renders as a decimal string exactly when its lowest-terms
-denominator is a power of ten, and as ``p/q`` otherwise, so
-``Fraction(3, 10)`` prints ``0.3`` while ``Fraction(1, 2)`` prints ``1/2``.
+(network.WeightArray) are int rows plus that scale and nothing else: the
+matrices are graded, so entry (m,k) is an int over scale**(m-k).  They are
+rendered straight from the ints by format_scaled, so a Fraction is made
+only where a caller asks for a value.  The helpers here own the text
+serialization contract: a rational renders as a decimal string exactly
+when its lowest-terms denominator is a power of ten, and as ``p/q``
+otherwise, so ``Fraction(3, 10)`` prints ``0.3`` while ``Fraction(1, 2)``
+prints ``1/2``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import le, mul
 from typing import Iterable, Optional, Sequence, Union
@@ -160,42 +162,42 @@ class SequencePair:
 
 class TriMatrix:
     """Lower-triangular square matrix of rationals held as int rows plus
-    one scale: row m holds the m+1 ints for (m,0)..(m,m), and entry (m,k)
-    is ints[m][k] / (den * scale**(m-k)).  Entries above the diagonal read
-    as 0.
+    one scale L: row m holds the m+1 ints for (m,0)..(m,m), and entry (m,k)
+    is ints[m][k] / L**(m-k).  Entries above the diagonal read as 0.
 
-    The library's constructions fill ints on an integer input scaled by L
-    and set scale = L, den = 1 (see SequencePair.scaled; a path s_m -> t_k
-    climbs m-k edges, so the grading holds for path matrices too).  A
-    matrix given as rationals, TriMatrix(rows), gets scale 1 and den the lcm
-    of its denominators.  Values are read with entry() and the rows view;
-    equality and hashing compare values, so matrices of one value built on
-    different scales are equal."""
+    The form fits a graded matrix, one whose entry (m,k) is homogeneous of
+    degree m-k: the library's constructions fill ints on an integer input
+    scaled by L and set scale = L (see SequencePair.scaled; a path s_m ->
+    t_k climbs m-k edges, so the grading holds for path matrices too).  A
+    matrix given as rationals, TriMatrix(rows), gets L the lcm of their
+    denominators, so its diagonal must be integers.  Values are read with
+    entry() and the rows view; equality and hashing compare values, so
+    matrices of one value built on different scales are equal."""
 
-    __slots__ = ("ints", "scale", "den", "_rows")
+    __slots__ = ("ints", "scale")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]) -> None:
-        rows = [_coerce(row) for row in rows]
-        flat, den = _to_scale([v for row in rows for v in row])
-        it = iter(flat)
-        self._set([list(islice(it, len(row))) for row in rows], 1, den)
+        rows = _triangular(map(_coerce, rows))
+        for m, row in enumerate(rows):
+            if row[m].denominator != 1:
+                raise ValueError(f"entry ({m},{m}) is {row[m]}: a diagonal "
+                                 "entry must be an integer")
+        scale = lcm(1, *(v.denominator for row in rows for v in row))
+        pows = list(accumulate(repeat(scale, len(rows)), mul, initial=1))
+        self._set([[v.numerator * (p // v.denominator)
+                    for v, p in zip(row, pows[m::-1])]
+                   for m, row in enumerate(rows)], scale)
 
     @classmethod
     def scaled(cls, ints: Sequence[Sequence[int]], scale: int = 1) -> "TriMatrix":
         """The matrix with entry (m,k) = ints[m][k] / scale**(m-k)."""
         matrix = cls.__new__(cls)
-        matrix._set(ints, scale, 1)
+        matrix._set(ints, scale)
         return matrix
 
-    def _set(self, ints: Sequence[Sequence[int]], scale: int, den: int) -> None:
-        ints = tuple(map(tuple, ints))
-        for m, row in enumerate(ints):
-            if len(row) != m + 1:
-                raise ValueError(f"row {m} has {len(row)} entries, expected {m + 1}")
-        object.__setattr__(self, "ints", ints)
+    def _set(self, ints: Sequence[Sequence[int]], scale: int) -> None:
+        object.__setattr__(self, "ints", _triangular(ints))
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"TriMatrix is immutable; cannot set {name!r}")
@@ -205,34 +207,30 @@ class TriMatrix:
         return len(self.ints) - 1
 
     def denominators(self) -> list[int]:
-        """den * scale**d for d = 0..n: entry (m,k) is ints[m][k] over the
+        """scale**d for d = 0..n: entry (m,k) is ints[m][k] over the
         (m-k)-th."""
-        return list(accumulate(repeat(self.scale, self.n), mul, initial=self.den))
+        return list(accumulate(repeat(self.scale, self.n), mul, initial=1))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions, row by row, built on first use."""
-        if self._rows is None:
-            dens = self.denominators()
-            object.__setattr__(self, "_rows", tuple(
-                tuple(map(Fraction, row, dens[m::-1]))
-                for m, row in enumerate(self.ints)
-            ))
-        return self._rows
+        """The entries as Fractions, row by row, built on each call."""
+        dens = self.denominators()
+        return tuple(tuple(map(Fraction, row, dens[m::-1]))
+                     for m, row in enumerate(self.ints))
 
     def entry(self, m: int, k: int) -> Fraction:
         if not (0 <= m <= self.n and 0 <= k <= self.n):
             raise IndexError(f"entry ({m},{k}) outside size {self.n}")
         if k > m:
             return Fraction(0)
-        return Fraction(self.ints[m][k], self.den * self.scale ** (m - k))
+        return Fraction(self.ints[m][k], self.scale ** (m - k))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TriMatrix):
             return NotImplemented
         if len(self.ints) != len(other.ints):
             return False
-        if (self.scale, self.den) == (other.scale, other.den):
+        if self.scale == other.scale:
             return self.ints == other.ints
         mine, theirs = self.denominators(), other.denominators()
         return all(
@@ -246,6 +244,15 @@ class TriMatrix:
 
     def __repr__(self) -> str:
         return f"TriMatrix(rows={self.rows!r})"
+
+
+def _triangular(rows: Iterable[Iterable]) -> tuple[tuple, ...]:
+    """rows as tuples when row m has m+1 entries, else ValueError."""
+    rows = tuple(map(tuple, rows))
+    for m, row in enumerate(rows):
+        if len(row) != m + 1:
+            raise ValueError(f"row {m} has {len(row)} entries, expected {m + 1}")
+    return rows
 
 
 def format_scaled(ints: Sequence[Sequence[int]],
@@ -277,6 +284,5 @@ def format_matrix(matrix: TriMatrix) -> list[list[str]]:
     """The entries (m,0)..(m,m) of each row m as format_rational text, by
     format_scaled; an entry too long to render is named by its (m,k)."""
     dens = matrix.denominators()  # (m,0)..(m,m) are over dens[m::-1]
-    # dens[-1] == 1 means den = 1 and, unless n = 0, scale = 1
-    per_row = None if dens[-1] == 1 else [dens[m::-1] for m in range(len(dens))]
+    per_row = None if matrix.scale == 1 else [dens[m::-1] for m in range(len(dens))]
     return format_scaled(matrix.ints, per_row, "matrix: entry ({},{})")

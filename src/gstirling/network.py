@@ -33,8 +33,8 @@ class WeightArray:
 
     provenance[m-1][k-1] = (f, g) means the weight at [m,k] is a_f - e_g for
     the attached SequencePair seq; raw arrays carry no provenance.  With
-    provenance the weights are derived from it on seq's scale: ints may
-    then be None, and ints that are given must agree with it in value.
+    provenance the weights are derived from it alone, on seq's scale: ints
+    must then be None, and ints given as well raise ValueError.
     """
 
     ints: Optional[tuple[tuple[int, ...], ...]]
@@ -46,19 +46,12 @@ class WeightArray:
         if self.provenance is not None:
             if self.seq is None:
                 raise ValueError("provenance requires an attached sequence pair")
-            a, e, scale = self.seq.scaled()
-            derived = tuple(tuple(a[f - 1] - e[g - 1] for f, g in row)
-                            for row in self.provenance)
             if self.ints is not None:
-                for m, (row, drow, prow) in enumerate(
-                        zip(self.ints, derived, self.provenance, strict=True), 1):
-                    for k, (v, d, (f, g)) in enumerate(
-                            zip(row, drow, prow, strict=True), 1):
-                        if v * scale != d * self.scale:
-                            raise ValueError(
-                                f"weight at [{m},{k}] disagrees with provenance a{f}-e{g}"
-                            )
-            object.__setattr__(self, "ints", derived)
+                raise ValueError("weights with provenance are derived from it; "
+                                 "pass ints=None")
+            a, e, scale = self.seq.scaled()
+            object.__setattr__(self, "ints", tuple(
+                tuple(a[f - 1] - e[g - 1] for f, g in row) for row in self.provenance))
             object.__setattr__(self, "scale", scale)
         for m, row in enumerate(self.ints, start=1):
             if len(row) != m:

@@ -56,28 +56,27 @@ def parse_board(text: str, source: Optional[str] = None) -> FerrersBoard:
 
 
 def rook_numbers_bruteforce(board: FerrersBoard, m: int) -> list[int]:
-    """The rook numbers R_k of the first m columns for k = 0..m: one
-    column-wise enumeration of the non-attacking placements, tallied by
-    rook count.  Capped at m <= 10."""
+    """The rook numbers R_k of the first m columns for k = 0..m, by a
+    dynamic programme over the sets of occupied rows: column by column, a
+    dict maps each row set (a bitmask) to the placements occupying exactly
+    it, and a column stays empty or puts a rook on one of its free rows.
+    R_k is the tally over the sets of k rows.  Capped at m <= 10."""
     if not (0 <= m <= board.n):
         raise ValueError(f"m must be in 0..{board.n}")
     if m > _BRUTEFORCE_CAP:
         raise ValueError(f"brute force capped at {_BRUTEFORCE_CAP} columns")
+    placements = {0: 1}
+    for height in board.heights[:m]:
+        grown = dict(placements)
+        for used, count in placements.items():
+            for row in range(height):
+                bit = 1 << row
+                if not used & bit:
+                    grown[used | bit] = grown.get(used | bit, 0) + count
+        placements = grown
     counts = [0] * (m + 1)
-    used: set[int] = set()
-
-    def walk(col: int) -> None:
-        if col > m:
-            counts[len(used)] += 1
-            return
-        walk(col + 1)
-        for row in range(1, board.heights[col - 1] + 1):
-            if row not in used:
-                used.add(row)
-                walk(col + 1)
-                used.remove(row)
-
-    walk(1)
+    for used, count in placements.items():
+        counts[used.bit_count()] += count
     return counts
 
 

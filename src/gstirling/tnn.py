@@ -7,7 +7,9 @@ restricted-growth sequence relative to a; the decision procedure returns a
 planar-network certificate in the positive case and a negative entry witness
 in the negative case, with the exhaustive oracle available as a cross-check.
 
-The oracle reads a matrix's ints (TriMatrix).  Of a lower-triangular
+The oracle reads a matrix's ints and yields integer determinants: entry
+(m,k) of a TriMatrix is an int over L^(m-k), so each minor is the
+determinant of its ints over a power of L.  Of a lower-triangular
 matrix it visits only the minors that can be nonzero, those with
 cols[i] <= rows[i]: C(s+1) - 1 of them at size s (a Catalan number).  It
 goes order by order and keeps only the minors of the two orders below:
@@ -16,10 +18,10 @@ one exact division of a 2 x 2 determinant of order k-1 minors by an order
 k-2 one, its core.  A zero core is replaced by another pair of rows with
 a nonzero one; where there is none, the rows have too low a rank for any
 minor over the core to be nonzero.  A minor has the sign of its integer
-determinant, so is_tnn_exhaustive tests that alone.  Scans of more than
-MAX_MINORS minors stop before the first one.  det_exact is fraction-free
-(Bareiss) elimination, and the inverse and its sign pattern run on the
-ints too.
+determinant, so is_tnn_exhaustive tests that alone and makes a Fraction
+only of its witness.  Scans of more than MAX_MINORS minors stop before the
+first one.  det_exact is fraction-free (Bareiss) elimination, and the
+inverse and its sign pattern run on the ints too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .core import SequencePair, TriMatrix, _to_scale
 from .network import PivotTrace, certify
@@ -184,16 +186,16 @@ def _other_core(
 
 def iter_minors(
     matrix: TriMatrix, max_order: Optional[int] = None
-) -> "Iterator[tuple[tuple[int, ...], tuple[int, ...], Union[int, Fraction]]]":
-    """Yield (rows, cols, value) for every minor up to max_order (default:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Yield (rows, cols, det) for every minor up to max_order (default:
     all orders), visited by ascending order then lexicographically by (rows,
-    cols).
+    cols), where det is the integer determinant of ints[R][C].
 
     Only column sets with cols[i] <= rows[i] for every i are visited: any
     other minor of a lower-triangular matrix vanishes identically.  Entry
-    (r,c) is ints[r][c] L^c / (D L^r), so the minor on (R, C) is the
-    integer determinant of ints[R][C] over D^|R| L^(sum R - sum C); the
-    value is that int when the denominator is 1, else a Fraction.
+    (r,c) is ints[r][c] L^c / L^r for L = matrix.scale, so the minor on
+    (R, C) equals det / L^(sum R - sum C) and has the sign of det; at
+    scale 1 it is det.
 
     The scan goes order by order, one row set at a time (_row_minors): an
     integer minor of order 2 and up is one Sylvester step on stored minors
@@ -206,7 +208,6 @@ def iter_minors(
     check_scan_budget(size, max_order)
     ints = [list(row) for row in matrix.ints]
     top = size if max_order is None else min(max_order, size)
-    unit = matrix.den == matrix.scale == 1
     zeros = [[0] * k for k in range(size)]
     one = two = {}
     for order in range(1, top + 1):
@@ -215,16 +216,8 @@ def iter_minors(
             cur[rows] = vecs = _row_minors(ints, rows, one, two, zeros)
             for prefix, v in vecs.items():
                 for c, det in enumerate(v, prefix[-1] + 1 if prefix else 0):
-                    cols = prefix + (c,)
-                    q = 1 if unit else _minor_scale(matrix, rows, cols)
-                    yield rows, cols, det if q == 1 else Fraction(det, q)
+                    yield rows, prefix + (c,), det
         one, two = cur, one
-
-
-def _minor_scale(matrix: TriMatrix, rows: tuple, cols: tuple) -> int:
-    """D^|R| L^(sum R - sum C) > 0: the minor on (R, C) is the integer
-    determinant of ints[R][C] over it."""
-    return matrix.den ** len(rows) * matrix.scale ** (sum(rows) - sum(cols))
 
 
 def is_tnn_exhaustive(
@@ -233,29 +226,27 @@ def is_tnn_exhaustive(
     """Check every minor up to max_order (default: all orders); the first
     strictly negative one in iter_minors order is returned, None if all
     pass.  The scan tests the signs of the integer determinants, which are
-    the minors' (_minor_scale), so only the witness becomes a Fraction."""
-    ints = TriMatrix.scaled(matrix.ints)
-    for rows, cols, det in iter_minors(ints, max_order=max_order):
+    the minors' signs, so only the witness becomes a Fraction, det /
+    L^(sum R - sum C)."""
+    for rows, cols, det in iter_minors(matrix, max_order=max_order):
         if det < 0:
-            return MinorWitness(rows=rows, cols=cols,
-                                value=Fraction(det, _minor_scale(matrix, rows, cols)))
+            return MinorWitness(rows=rows, cols=cols, value=Fraction(
+                det, matrix.scale ** (sum(rows) - sum(cols))))
     return None
 
 
 def unit_lower_inverse(matrix: TriMatrix) -> TriMatrix:
     """Invert a unit lower-triangular matrix by forward substitution on its
-    ints.  With s = D L the inverse is TriMatrix.scaled(Y, s) for Y(m,m) = 1
-    and Y(m,k) = -sum_{k<=j<m} ints[m][j] D^(m-j-1) Y(j,k)."""
-    den = matrix.den
-    if any(row[m] != den for m, row in enumerate(matrix.ints)):
+    ints, 1 on the diagonal.  Conjugating by diag(L^m) keeps the scale L,
+    so the inverse is TriMatrix.scaled(Y, L) for the integer inverse Y of
+    ints: Y(m,m) = 1, Y(m,k) = -sum_{k<=j<m} ints[m][j] Y(j,k)."""
+    if any(row[m] != 1 for m, row in enumerate(matrix.ints)):
         raise ValueError("matrix is not unit lower-triangular")
-    dpow = [den ** d for d in range(matrix.n + 1)]
     inv: list[list[int]] = []
     for m, row in enumerate(matrix.ints):
-        coef = [v * dpow[m - j - 1] for j, v in enumerate(row[:m])]
-        inv.append([-sum(coef[j] * inv[j][k] for j in range(k, m))
+        inv.append([-sum(row[j] * inv[j][k] for j in range(k, m))
                     for k in range(m)] + [1])
-    return TriMatrix.scaled(inv, den * matrix.scale)
+    return TriMatrix.scaled(inv, matrix.scale)
 
 
 @dataclass(frozen=True)

@@ -426,20 +426,17 @@ def _walk(state, bounds, low, prefix, prev, sign):
 
 
 def walk_minors(matrix, max_order=None):
-    """(rows, cols, value) for every minor of a TriMatrix whose column set
+    """(rows, cols, det) for every minor of a TriMatrix whose column set
     satisfies cols[i] <= rows[i], in the minor scan's order, by a
     fraction-free (Bareiss) elimination walk over each row set's column
     sets: a column set extends its prefix's eliminated rows by one pivot
-    step.  The scan's order-by-order Sylvester steps share nothing with
-    it but the integer entries."""
+    step.  Like the scan, it yields the integer determinant of the ints;
+    the two share nothing else."""
     size = matrix.n + 1
     ints = [row + (0,) * (size - len(row)) for row in matrix.ints]
     top = size if max_order is None else min(max_order, size)
-    unit = matrix.den == matrix.scale == 1
     for order in range(1, top + 1):
         for rows in combinations(range(size), order):
             state = [ints[r][:rows[-1] + 1] for r in rows]
             for cols, det in _walk(state, rows, 0, (), 1, 1):
-                q = 1 if unit else (matrix.den ** len(rows)
-                                    * matrix.scale ** (sum(rows) - sum(cols)))
-                yield rows, cols, det if q == 1 else Fraction(det, q)
+                yield rows, cols, det

@@ -2,6 +2,8 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gstirling.chordal
 from gstirling.chordal import (
@@ -189,6 +191,15 @@ class TestBruteForce:
         assert graph_stirling_bruteforce(PATH3, 0) == [1]
 
 
+@st.composite
+def small_graphs(draw, max_n=6):
+    """(n, edges) on vertices 1..n, n <= max_n; edgeless ones included."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for v in range(1, n + 1) for u in range(1, v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, edges
+
+
 class TestColoring:
     def test_counts_match_enumeration(self):
         for g in (PATH3, TRIANGLE, CYCLE4, KITE):
@@ -196,6 +207,14 @@ class TestColoring:
                 assert count_proper_colorings(g, x) == coloring_count(
                     g.n, g.edges(), x
                 )
+
+    @given(small_graphs(), st.integers(0, 4))
+    @example((6, []), 4)
+    @example((0, []), 0)
+    def test_bitmask_programme_matches_assignments(self, graph, x):
+        n, edges = graph
+        g = Graph.from_edges(n, edges)
+        assert count_proper_colorings(g, x) == coloring_count(n, edges, x)
 
     def test_chromatic_identity(self):
         for g in (PATH3, TRIANGLE, KITE, STAR_FIRST):

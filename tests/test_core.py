@@ -189,8 +189,10 @@ wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator
 
 @st.composite
 def rational_rows(draw, max_size=5):
+    """Lower-triangular rows with an integer diagonal, as TriMatrix takes."""
     size = draw(st.integers(1, max_size))
-    return [draw(st.lists(wide_rationals, min_size=m + 1, max_size=m + 1))
+    return [draw(st.lists(wide_rationals, min_size=m, max_size=m))
+            + [Fraction(draw(st.integers(-10**6, 10**6)))]
             for m in range(size)]
 
 
@@ -200,7 +202,6 @@ class TestIntRepresentation:
     @given(rational_rows())
     def test_rational_rows_round_trip(self, rows):
         m = TriMatrix(rows)
-        assert m.scale == 1
         assert all(isinstance(v, int) for row in m.ints for v in row)
         assert m.rows == tuple(tuple(row) for row in rows)
         assert all(m.entry(i, k) == rows[i][k]
@@ -208,10 +209,19 @@ class TestIntRepresentation:
         assert TriMatrix(m.rows) == m and hash(TriMatrix(m.rows)) == hash(m)
         assert format_matrix(m) == [[format_rational(v) for v in row] for row in rows]
 
-    def test_fractional_diagonal_is_representable(self):
-        m = TriMatrix(((Fraction(1, 2),), (3, Fraction(2, 3))))
-        assert m.den == 6 and m.ints == ((3,), (18, 4))
-        assert m.rows == ((Fraction(1, 2),), (Fraction(3), Fraction(2, 3)))
+    def test_fractional_diagonal_is_refused(self):
+        # entry (m,m) is ints[m][m] over scale**0 = 1: no scale holds 2/3
+        with pytest.raises(ValueError, match=r"entry \(1,1\) is 2/3"):
+            TriMatrix(((1,), (3, Fraction(2, 3))))
+        with pytest.raises(ValueError, match=r"entry \(0,0\) is 1/2"):
+            TriMatrix(((Fraction(1, 2),),))
+
+    def test_rational_rows_go_on_the_lcm_scale(self):
+        m = TriMatrix(((1,), (Fraction(1, 2), 3), (Fraction(2, 3), 5, -1)))
+        assert m.scale == 6 and m.ints == ((1,), (3, 3), (24, 30, -1))
+        assert m.rows == ((1,), (Fraction(1, 2), 3), (Fraction(2, 3), 5, -1))
+        assert TriMatrix.__slots__ == ("ints", "scale")
+        assert not hasattr(m, "den")
 
     def test_entry_and_rows_are_fractions(self):
         for m in (TriMatrix(((1,), (2, 1))), TriMatrix.scaled(((1,), (3, 1)), 2),

@@ -47,10 +47,15 @@ class TestWeightArray:
 
     def test_provenance_consistency_enforced(self):
         sp = sequence_pair([0], [1])
-        with pytest.raises(ValueError):
-            WeightArray(((5,),), provenance=(((1, 1),),), seq=sp)
-        # given ints are compared in value, on their own scale
-        assert WeightArray(((-2,),), 2, (((1, 1),),), sp).ints == ((-1,),)
+        # the weights come from the provenance alone: ints given as well
+        # raise, even ints equal to the derived ones
+        for ints in (((5,),), ((-1,),)):
+            with pytest.raises(ValueError, match="derived"):
+                WeightArray(ints, provenance=(((1, 1),),), seq=sp)
+        assert WeightArray(None, provenance=(((1, 1),),), seq=sp).ints == ((-1,),)
+        with pytest.raises(ValueError, match="row 2 has 1 entries"):
+            WeightArray(None, provenance=(((1, 1),), ((1, 1),)),
+                        seq=sequence_pair([0, 1], [1, 2]))
 
     def test_weight_out_of_range(self):
         wa = build_initial(sequence_pair([0], [1]))
@@ -117,11 +122,11 @@ class TestPathMatrix:
 
 class TestScaledPathMatrix:
     def test_equal_values_on_different_scales(self):
-        """A raw array's path matrix is on the array's scale, 2 here, while
-        the same values given as rationals get scale 1 and denominator 2."""
+        """A raw array's path matrix is on the array's scale, 2 here; the
+        same values on scale 4 hold 2 over 4 at (1,0)."""
         network = path_matrix(weight_array([[Fraction(1, 2)]]))
-        given = TriMatrix(((1,), (Fraction(1, 2), 1)))
-        assert (network.scale, given.scale) == (2, 1)
+        given = TriMatrix.scaled(((1,), (2, 1)), 4)
+        assert (network.scale, given.scale) == (2, 4)
         assert network == given and hash(network) == hash(given)
 
     def test_weights_scaled_once_by_their_common_denominator(self):
@@ -366,9 +371,7 @@ class TestInPlaceRotation:
             tuple((data.draw(idx), data.draw(idx)) for _ in range(m))
             for m in range(1, sp.n + 1)
         )
-        a, e, scale = sp.scaled()
-        ints = tuple(tuple(a[f - 1] - e[g - 1] for f, g in row) for row in prov)
-        wa = WeightArray(ints, scale, prov, sp)
+        wa = WeightArray(None, provenance=prov, seq=sp)
         m = data.draw(st.integers(min_value=1, max_value=sp.n))
         k = data.draw(st.integers(min_value=1, max_value=m))
         assert pivot(wa, m, k).provenance == pivot_provenance(prov, m, k)

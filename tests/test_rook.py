@@ -2,6 +2,8 @@ from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gstirling.rook
 from gstirling.rook import (
@@ -51,6 +53,15 @@ class TestBruteForce:
                 assert rook_numbers_bruteforce(board, m) == [
                     rook_placement_count(hs, m, k) for k in range(m + 1)
                 ]
+
+    @given(st.lists(st.integers(0, 6), max_size=6))
+    def test_row_set_programme_matches_placements(self, heights):
+        hs = tuple(sorted(heights))
+        board = FerrersBoard(hs)
+        for m in range(board.n + 1):
+            assert rook_numbers_bruteforce(board, m) == [
+                rook_placement_count(hs, m, k) for k in range(m + 1)
+            ]
 
     def test_bounds(self):
         board = FerrersBoard((1,) * 11)

@@ -125,9 +125,10 @@ class TestExhaustiveScan:
     def test_minor_values_match_independent_determinants(self):
         rng = Random(7)
         m = _random_unit_lower(rng, 4)
-        for rows, cols, value in iter_minors(m, max_order=3):
+        assert m.scale > 1
+        for rows, cols, det in iter_minors(m, max_order=3):
             sub = [[m.entry(r, c) for c in cols] for r in rows]
-            assert value == cofactor_det(sub)
+            assert det == cofactor_det(sub) * m.scale ** (sum(rows) - sum(cols))
 
 
 # entries with denominators 1-4, zero half of the time, so zero leading
@@ -137,9 +138,11 @@ sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
 
 @st.composite
 def lower_triangular(draw, max_size=5):
+    """A TriMatrix of sparse rationals with an integer diagonal."""
     size = draw(st.integers(1, max_size))
     return TriMatrix(tuple(
-        tuple(draw(st.lists(sparse_rationals, min_size=m + 1, max_size=m + 1)))
+        tuple(draw(st.lists(sparse_rationals, min_size=m, max_size=m)))
+        + (draw(st.integers(-5, 5)),)
         for m in range(size)
     ))
 
@@ -147,7 +150,12 @@ def lower_triangular(draw, max_size=5):
 class TestMinorScanOracle:
     @given(lower_triangular(), st.one_of(st.none(), st.integers(1, 5)))
     def test_matches_combination_oracle(self, m, max_order):
-        assert list(iter_minors(m, max_order)) == triangular_minors(m.rows, max_order)
+        assert list(iter_minors(m, max_order)) == triangular_minors(m.ints, max_order)
+
+    def test_scan_yields_ints_on_any_scale(self):
+        m = _random_unit_lower(Random(5), 5)
+        assert m.scale > 1
+        assert all(type(det) is int for _, _, det in iter_minors(m))
 
     @given(lower_triangular(), st.one_of(st.none(), st.integers(1, 5)))
     def test_witness_is_the_first_negative_minor(self, m, max_order):
@@ -218,8 +226,9 @@ class TestColumnWalk:
 
     def test_zero_pivot_swaps_only_in_its_own_subtree(self):
         scan = list(iter_minors(ZERO_PIVOT))
-        assert scan == triangular_minors(ZERO_PIVOT.rows)
-        assert ((2, 3), (1, 2), -1) in scan
+        assert scan == triangular_minors(ZERO_PIVOT.ints)
+        # the minor -1 on scale 6, over 6^(5 - 3)
+        assert ((2, 3), (1, 2), -36) in scan
         assert ((2, 3), (2, 3), 1) in scan
 
     def test_all_zero_column_yields_every_completion(self):
@@ -240,14 +249,14 @@ class TestColumnWalk:
 
     def test_fractional_entries(self):
         m = TriMatrix((
-            (Fraction(1, 2),),
-            (Fraction(0), Fraction(2, 3)),
+            (Fraction(2),),
+            (Fraction(0), Fraction(3)),
             (Fraction(3, 4), Fraction(0), Fraction(1)),
-            (Fraction(1, 3), Fraction(5, 6), Fraction(0), Fraction(1, 2)),
+            (Fraction(1, 3), Fraction(5, 6), Fraction(0), Fraction(2)),
             (Fraction(2), Fraction(-1, 2), Fraction(1, 5), Fraction(0), Fraction(3)),
         ))
-        assert m.den > 1
-        assert list(iter_minors(m)) == triangular_minors(m.rows)
+        assert m.scale > 1
+        assert list(iter_minors(m)) == triangular_minors(m.ints)
 
 
 @st.composite
@@ -373,7 +382,7 @@ class TestInverseOnInts:
     @given(unit_lower_rows())
     def test_rational_rows(self, rows):
         m = TriMatrix(rows)
-        assume(m.den > 1)
+        assume(m.scale > 1)
         assert unit_lower_inverse(m).rows == unit_lower_inverse_rows(rows)
 
     @given(rational_pairs())
@@ -388,7 +397,7 @@ class TestMinorsOnPairScale:
     def test_matches_combination_oracle(self, sp, max_order):
         m = stirling_recurrence(sp)
         assert m.scale > 1
-        assert list(iter_minors(m, max_order)) == triangular_minors(m.rows, max_order)
+        assert list(iter_minors(m, max_order)) == triangular_minors(m.ints, max_order)
 
 
 class TestSignPattern:
